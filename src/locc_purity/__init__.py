@@ -31,16 +31,12 @@ from .protocol import (
     tsuda_acceptance,
 )
 from .schurweyl import (
-    BlockStructureReport,
     IsotypicProjectorSet,
     ab_block_projector,
     build_projector_set,
     chain_interleave_permutation,
     chain_to_copy_index,
-    chain_to_copy_operator,
-    sym_projector_bipartite,
     to_copy_major,
-    verify_block_structure,
     young_projector,
 )
 from .states import (
@@ -50,13 +46,11 @@ from .states import (
     build_state,
     partial_trace_b,
     spec_from_json,
-    spec_to_json_dict,
     tensor_power,
 )
 from .tensorops import (
     DEFAULT_MEMORY_CAP,
     kron,
-    perm_operator,
     symmetric_basis,
     symmetrizer,
 )

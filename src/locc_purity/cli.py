@@ -471,22 +471,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         output_path=args.out,
         memory_cap_bytes=_memory_cap(args),
     )
-    for field in ("d", "n"):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    if hasattr(args, "n_max"):
-        cfg.n_max = args.n_max
-    if hasattr(args, "region"):
-        cfg.region = args.region
-    if hasattr(args, "seed"):
-        cfg.seed = args.seed
-    if hasattr(args, "state"):
+    for name in ("d", "n", "n_max", "region", "seed"):
+        setattr(cfg, name, getattr(args, name, None))
+    if getattr(args, "state", None) is not None:
         cfg.state = _load_state(args.state, cfg.seed)
         if cfg.state.d != cfg.d:
             raise ValidationError(
                 f"d: --d {cfg.d} disagrees with the state spec's d = {cfg.state.d}"
             )
-    if hasattr(args, "p"):
+    if getattr(args, "p", None) is not None:
         try:
             cfg.p = tuple(float(x) for x in args.p.split(","))
         except ValueError as exc:

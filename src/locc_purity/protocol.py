@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvariantError, MemoryCapError, ValidationError
 from .partitions import Partition, complete_homogeneous, enumerate_partitions, hook_dim, weyl_dim
-from .schurweyl import ab_block_projector, build_projector_set, sym_projector_bipartite
+from .schurweyl import ab_block_projector, build_projector_set
 from .states import StateSpec, analyze, build_state, tensor_power
 from .tensorops import DEFAULT_MEMORY_CAP, check_memory_cap, symmetric_basis, trace_product
 
@@ -84,13 +84,20 @@ def _acceptance_exponent(p: float, n: int) -> float:
     return -math.log(p) / n
 
 
-def block_statistics(
-    rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
-) -> list[BlockStats]:
-    """p_lambda and m_lambda for every Young index, from the dense operators.
+def _overlap(rho_n: np.ndarray, w: np.ndarray) -> float:
+    """Tr(W^dagger rho_n W) for a tall matrix W."""
+    return float(np.real(np.sum(w.conj() * (rho_n @ w))))
 
-    m_lambda is contracted through the orthonormal symmetric basis V
-    (Pi_n = V V^dagger), which avoids any dim^3 product on the doubled chain.
+
+def _n_copy_pass(
+    rho: np.ndarray, d: int, n: int, memory_cap: int | None
+) -> tuple[list[BlockStats], float]:
+    """Every dense per-n quantity from one rho^{tensor n}, one chain projector
+    set and one symmetric basis V (Pi_n = V V^dagger): the block statistics
+    and the direct optimal acceptance Tr(V^dagger rho^{tensor n} V).
+
+    m_lambda is contracted through V as well, which avoids any dim^3 product
+    on the doubled chain.
     """
     dim = (d * d) ** n
     check_memory_cap(dim * dim, memory_cap, f"{n}-copy block statistics (dim {dim})")
@@ -104,8 +111,7 @@ def block_statistics(
             chain.projectors[lam], chain.projectors[lam], d, n, memory_cap
         )
         p_lam = trace_product(rho_n, q).real
-        qv = q @ v
-        m_lam = float(np.real(np.sum(qv.conj() * (rho_n @ qv))))
+        m_lam = _overlap(rho_n, q @ v)
         d_lam = hook_dim(lam)
         fid = m_lam / p_lam if p_lam > ZERO_BLOCK_TOL else None
         out.append(
@@ -118,28 +124,35 @@ def block_statistics(
                 fidelity=fid,
             )
         )
-    return out
+    return out, _overlap(rho_n, v)
 
 
-def p_opt(
-    rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
-) -> float:
-    """Acceptance probability of the globally optimal test, Tr(rho^n Pi_n).
-
-    Cross-checked on every call against the complete homogeneous polynomial
-    of the single-copy spectrum; disagreement is an InvariantError.
-    """
-    dim = (d * d) ** n
-    check_memory_cap(dim * dim, memory_cap, f"optimal-test acceptance (dim {dim})")
-    rho_n = tensor_power(rho, n, memory_cap)
-    pi = sym_projector_bipartite(d, n, memory_cap)
-    direct = trace_product(rho_n, pi).real
-    oracle = complete_homogeneous(n, np.linalg.eigvalsh(rho))
+def _check_oracle(direct: float, oracle: float, d: int, n: int) -> None:
     if abs(direct - oracle) > ORACLE_TOL:
         raise InvariantError(
             f"optimal acceptance disagrees with its polynomial oracle: "
             f"trace {direct!r} vs h_n {oracle!r} (n={n}, d={d})"
         )
+
+
+def block_statistics(
+    rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
+) -> list[BlockStats]:
+    """p_lambda and m_lambda for every Young index, from the dense operators."""
+    return _n_copy_pass(rho, d, n, memory_cap)[0]
+
+
+def p_opt(
+    rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
+) -> float:
+    """Acceptance probability of the globally optimal test, Tr(rho^n Pi_n),
+    taken as Tr(V^dagger rho^n V) over the symmetric basis V.
+
+    Cross-checked on every call against the complete homogeneous polynomial
+    of the single-copy spectrum; disagreement is an InvariantError.
+    """
+    direct = _n_copy_pass(rho, d, n, memory_cap)[1]
+    _check_oracle(direct, complete_homogeneous(n, np.linalg.eigvalsh(rho)), d, n)
     return direct
 
 
@@ -170,9 +183,9 @@ def run_test(
     """Full per-n report, with the three-way optimal-acceptance agreement and
     the sandwich inequality enforced."""
     analysis = analyze(rho, d)
-    blocks = block_statistics(rho, d, n, memory_cap)
-    opt = p_opt(rho, d, n, memory_cap)
+    blocks, opt = _n_copy_pass(rho, d, n, memory_cap)
     oracle = complete_homogeneous(n, analysis.spectrum)
+    _check_oracle(opt, oracle, d, n)
     sum_m = sum(b.m_lambda for b in blocks)
     if abs(opt - sum_m) > ORACLE_TOL:
         raise InvariantError(

@@ -17,7 +17,6 @@ blocks silently, so nothing here reorders indices ad hoc.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,9 +26,7 @@ from .errors import InvariantError, ValidationError
 from .partitions import Partition, enumerate_partitions, hook_dim, mn_character, weyl_dim
 from .tensorops import (
     DEFAULT_MEMORY_CAP,
-    _digit_table,
-    _radix_weights,
-    check_memory_cap,
+    class_sum,
     frobenius,
     is_projector,
     kron,
@@ -45,22 +42,6 @@ CROSS_BLOCK_TOL = 1e-8
 BLOCK_TRACE_TOL = 1e-6
 
 
-def _cycle_type(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(sigma)
-    lengths = []
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = sigma[k]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def young_projector(
     lam: Partition, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> np.ndarray:
@@ -73,22 +54,8 @@ def young_projector(
         raise ValidationError(f"{lam} is not a partition of {n}")
     if lam.rows > d:
         raise ValidationError(f"{lam} has more than {d} rows")
-    dim = d**n
-    check_memory_cap(dim * dim, memory_cap, f"isotypic projector of dimension {dim}")
-
-    chi = {
-        ct.parts: mn_character(lam, ct) for ct in enumerate_partitions(n, n)
-    }
-    acc = np.zeros((dim, dim), dtype=float)
-    x = np.arange(dim)
-    digits = _digit_table(d, n)
-    weights = _radix_weights(d, n)
-    for sig in itertools.permutations(range(n)):
-        sig_inv = np.argsort(np.asarray(sig))
-        y = digits[:, sig_inv] @ weights
-        acc[y, x] += chi[_cycle_type(sig)]
-    acc *= hook_dim(lam) / math.factorial(n)
-    return acc.astype(complex)
+    chi = {ct.parts: mn_character(lam, ct) for ct in enumerate_partitions(n, n)}
+    return class_sum(d, n, chi.__getitem__, hook_dim(lam), memory_cap)
 
 
 @dataclass
@@ -149,6 +116,7 @@ def sym_projector_bipartite(
     """Symmetric-subspace projector on (C^{d^2})^{tensor n}, copy-major layout.
 
     Each permuted factor is one whole copy A_i B_i; trace = C(d^2+n-1, n).
+    A dense test oracle: the protocol contracts through symmetric_basis.
     """
     return symmetrizer(d * d, n, memory_cap)
 

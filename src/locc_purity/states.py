@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -58,8 +59,17 @@ _REQUIRED_FIELDS = {
 }
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x: Any) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def validate_spec(spec: StateSpec) -> None:
-    if not isinstance(spec.d, int) or spec.d < 1:
+    """Check a spec's types and values; errors name the offending key."""
+    if not _is_int(spec.d) or spec.d < 1:
         raise ValidationError(f"d: must be a positive integer, got {spec.d!r}")
     if spec.kind not in KINDS:
         raise ValidationError(f"kind: must be one of {KINDS}, got {spec.kind!r}")
@@ -74,9 +84,15 @@ def validate_spec(spec: StateSpec) -> None:
         raise ValidationError(f"{name}: not a field of kind {spec.kind!r}")
     for name in sorted(required - present):
         raise ValidationError(f"{name}: required for kind {spec.kind!r}")
+    for name in ("seed", "rank"):
+        value = getattr(spec, name)
+        if value is not None and not _is_int(value):
+            raise ValidationError(f"{name}: must be an integer, got {value!r}")
 
     if spec.kind == "pure_schmidt":
         p = spec.schmidt
+        if not isinstance(p, (list, tuple, np.ndarray)) or not all(_is_real(x) for x in p):
+            raise ValidationError(f"schmidt: must be an array of reals, got {p!r}")
         if len(p) != spec.d:
             raise ValidationError(f"schmidt: expected {spec.d} entries, got {len(p)}")
         if any(x < 0 for x in p):
@@ -203,62 +219,41 @@ def spec_from_json(source: str | dict[str, Any]) -> StateSpec:
     known = {"d", "kind", "schmidt", "matrix", "seed", "rank"}
     for key in sorted(set(obj) - known):
         raise ValidationError(f"{key}: unknown state-spec key")
+    # StateSpec spells an absent field as None, so an explicit null is refused
+    for key in sorted(k for k, v in obj.items() if v is None):
+        raise ValidationError(f"{key}: must not be null")
     if "d" not in obj:
         raise ValidationError("d: missing")
     if "kind" not in obj:
         raise ValidationError("kind: missing")
-    d = obj["d"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValidationError(f"d: must be a positive integer, got {d!r}")
 
-    schmidt = None
-    if "schmidt" in obj:
-        raw = obj["schmidt"]
-        if not isinstance(raw, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-        ):
-            raise ValidationError("schmidt: must be an array of reals")
-        schmidt = tuple(float(x) for x in raw)
-
-    matrix = None
-    if "matrix" in obj:
-        matrix = _matrix_from_json(obj["matrix"], d)
-
-    seed = None
-    if "seed" in obj:
-        raw = obj["seed"]
-        if not isinstance(raw, int) or isinstance(raw, bool):
-            raise ValidationError(f"seed: must be an integer, got {raw!r}")
-        seed = raw
-
-    rank = None
-    if "rank" in obj:
-        raw = obj["rank"]
-        if not isinstance(raw, int) or isinstance(raw, bool):
-            raise ValidationError(f"rank: must be an integer, got {raw!r}")
-        rank = raw
-
+    schmidt = obj.get("schmidt")
+    if isinstance(schmidt, list):
+        schmidt = tuple(schmidt)
+    matrix = _matrix_from_json(obj["matrix"]) if "matrix" in obj else None
     spec = StateSpec(
-        d=d, kind=obj["kind"], schmidt=schmidt, matrix=matrix, seed=seed, rank=rank
+        d=obj["d"],
+        kind=obj["kind"],
+        schmidt=schmidt,
+        matrix=matrix,
+        seed=obj.get("seed"),
+        rank=obj.get("rank"),
     )
     validate_spec(spec)
     return spec
 
 
-def _matrix_from_json(raw: Any, d: int) -> np.ndarray:
-    dim = d * d
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise ValidationError(f"matrix: expected {dim} rows")
-    out = np.zeros((dim, dim), dtype=complex)
+def _matrix_from_json(raw: Any) -> np.ndarray:
+    """Square complex array from rows of [re, im] pairs; validate_spec checks
+    its shape against d."""
+    if not isinstance(raw, list) or not all(
+        isinstance(row, list) and len(row) == len(raw) for row in raw
+    ):
+        raise ValidationError("matrix: expected a square array of [re, im] pairs")
+    out = np.zeros((len(raw), len(raw)), dtype=complex)
     for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValidationError(f"matrix: row {i} must have {dim} entries")
         for j, cell in enumerate(row):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
-            ):
+            if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_real, cell))):
                 raise ValidationError(f"matrix: entry ({i},{j}) must be a [re, im] pair")
             out[i, j] = complex(cell[0], cell[1])
     return out

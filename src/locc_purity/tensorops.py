@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -114,25 +114,57 @@ def perm_operator(
     return op
 
 
+def _cycle_type(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    seen = [False] * len(sigma)
+    lengths = []
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = sigma[k]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def class_sum(
+    local_dim: int,
+    n: int,
+    weight: Callable[[tuple[int, ...]], float],
+    scale: float,
+    memory_cap: int | None = DEFAULT_MEMORY_CAP,
+) -> np.ndarray:
+    """(scale / n!) * sum_sigma weight(cycle type of sigma) U(sigma) over all
+    n! copy permutations of (C^local_dim)^{tensor n}, as a dense matrix.
+
+    weight receives the cycle type as a non-increasing tuple of cycle lengths.
+    Every dense class-sum operator (symmetrizer, isotypic projectors) is built
+    here.
+    """
+    if local_dim < 1 or n < 1:
+        raise ValidationError(f"need local_dim >= 1 and n >= 1, got {local_dim}, {n}")
+    dim = local_dim**n
+    check_memory_cap(dim * dim, memory_cap, f"permutation class sum of dimension {dim}")
+    acc = np.zeros((dim, dim), dtype=float)
+    x = np.arange(dim)
+    for sig in itertools.permutations(range(n)):
+        acc[permuted_basis_index(sig, local_dim), x] += weight(_cycle_type(sig))
+    acc *= scale / math.factorial(n)
+    return acc.astype(complex)
+
+
 def symmetrizer(
     local_dim: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> np.ndarray:
     """Projector onto the symmetric subspace: the average of all n! copy
-    permutations. Trace equals C(local_dim + n - 1, n)."""
-    if local_dim < 1 or n < 1:
-        raise ValidationError(f"need local_dim >= 1 and n >= 1, got {local_dim}, {n}")
-    dim = local_dim**n
-    check_memory_cap(dim * dim, memory_cap, f"symmetrizer of dimension {dim}")
-    acc = np.zeros((dim, dim), dtype=float)
-    x = np.arange(dim)
-    digits = _digit_table(local_dim, n)
-    weights = _radix_weights(local_dim, n)
-    for sig in itertools.permutations(range(n)):
-        sig_inv = np.argsort(np.asarray(sig))
-        y = digits[:, sig_inv] @ weights
-        acc[y, x] += 1.0
-    acc /= math.factorial(n)
-    return acc.astype(complex)
+    permutations. Trace equals C(local_dim + n - 1, n).
+
+    A dense test oracle; symmetric_basis factors it at far lower cost.
+    """
+    return class_sum(local_dim, n, lambda _: 1.0, 1.0, memory_cap)
 
 
 def symmetric_basis(
@@ -178,5 +210,5 @@ def is_projector(a: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(a @ b) without forming the product."""
-    return complex((a * b.T).sum())
+    """Tr(a @ b) without forming the product or any temporary."""
+    return complex(np.einsum("ij,ji->", a, b))

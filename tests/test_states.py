@@ -148,6 +148,21 @@ def test_spec_rejects_bad_matrix():
         validate_spec(StateSpec(d=2, kind="density_matrix", matrix=wrong_trace))
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        (StateSpec(d=True, kind="random_pure"), "d"),
+        (StateSpec(d=2, kind="random_pure", seed=1.5), "seed"),
+        (StateSpec(d=2, kind="random_mixed", rank=2.5), "rank"),
+        (StateSpec(d=2, kind="pure_schmidt", schmidt=(0.5, "x")), "schmidt"),
+    ],
+)
+def test_spec_type_errors_name_the_key(spec, key):
+    # the Python API gets the same type checks as the JSON format
+    with pytest.raises(ValidationError, match=f"^{key}:"):
+        build_state(spec)
+
+
 def test_spec_rejects_bad_kind_and_rank():
     with pytest.raises(ValidationError, match="kind"):
         validate_spec(StateSpec(d=2, kind="bell"))
@@ -188,6 +203,8 @@ def test_spec_from_json_errors_name_keys():
         spec_from_json('{"d": 2, "kind": "pure_schmidt", "schmidt": "half"}')
     with pytest.raises(ValidationError, match="seed"):
         spec_from_json('{"d": 2, "kind": "random_pure", "seed": 1.5}')
+    with pytest.raises(ValidationError, match="seed"):
+        spec_from_json('{"d": 2, "kind": "random_pure", "seed": null}')
     with pytest.raises(ValidationError, match="flavor"):
         spec_from_json('{"d": 2, "kind": "random_pure", "flavor": "up"}')
     with pytest.raises(ValidationError, match="matrix"):
