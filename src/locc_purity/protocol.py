@@ -12,6 +12,14 @@ its acceptance is a Tsuda-weighted sum over blocks. Per-block quantities:
 with the block fidelity m_lambda / p_lambda. Three independent routes to the
 optimal acceptance (direct trace, sum of m_lambda, complete homogeneous
 polynomial of the spectrum) are required to agree.
+
+All of them are computed matrix-free, from rho itself, in one pass per n
+(_n_copy_pass): rho^{tensor n} is applied one copy at a time to the
+symmetric basis V (Pi_n = V V^T), Q_lambda acts on the chain-major view of
+V's columns, and p_lambda contracts P_lambda with one copy of rho at a time.
+No array in the pass is larger than (d^2)^n x C(d^2+n-1, n); no
+(d^2)^n x (d^2)^n operator is built. The dense operators in tensorops,
+states and schurweyl remain as test oracles.
 """
 
 from __future__ import annotations
@@ -23,15 +31,18 @@ import numpy as np
 
 from .errors import InvariantError, MemoryCapError, ValidationError
 from .partitions import Partition, complete_homogeneous, enumerate_partitions, hook_dim, weyl_dim
-from .schurweyl import ab_block_projector, build_projector_set
-from .states import StateSpec, analyze, build_state, tensor_power
-from .tensorops import DEFAULT_MEMORY_CAP, check_memory_cap, symmetric_basis, trace_product
+from .schurweyl import build_projector_set, copy_to_chain_columns
+from .states import StateSpec, analyze, build_state
+from .tensorops import DEFAULT_MEMORY_CAP, check_memory_cap, symmetric_basis
 
 ORACLE_TOL = 1e-8
 SANDWICH_TOL = 1e-9
 # Below this mass a block is treated as unpopulated: its fidelity is
 # undefined (None) and it contributes nothing to the LOCC acceptance.
 ZERO_BLOCK_TOL = 1e-14
+# Complex arrays of shape ((d^2)^n, R) live at the peak of one n-copy pass
+# (see _n_copy_pass); tests/test_protocol.py checks it against tracemalloc.
+PASS_LIVE_ARRAYS = 3
 
 
 @dataclass
@@ -84,34 +95,84 @@ def _acceptance_exponent(p: float, n: int) -> float:
     return -math.log(p) / n
 
 
-def _overlap(rho_n: np.ndarray, w: np.ndarray) -> float:
-    """Tr(W^dagger rho_n W) for a tall matrix W."""
-    return float(np.real(np.sum(w.conj() * (rho_n @ w))))
+def pass_memory_entries(d: int, n: int) -> int:
+    """Complex entries live at the peak of one n-copy pass, the figure the
+    memory cap is checked against: PASS_LIVE_ARRAYS arrays of (d^2)^n x R,
+    R = C(d^2+n-1, n) the rank of the symmetric basis, plus the chain
+    projector set (one d^n x d^n matrix per Young index)."""
+    rank = math.comb(d * d + n - 1, n)
+    blocks = len(enumerate_partitions(n, d))
+    return PASS_LIVE_ARRAYS * (d * d) ** n * rank + blocks * d ** (2 * n)
+
+
+def _apply_per_copy(op: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """op^{tensor n} @ cols for cols of shape (k^n, R), one copy at a time.
+
+    Each step applies op to the leading copy axis and rotates that axis to
+    the last copy position, so after n steps the order is restored.
+    """
+    k, rank = op.shape[0], cols.shape[1]
+    x = cols
+    for _ in range(n):
+        x = op @ x.reshape(k, -1, rank).transpose(1, 0, 2)
+    return x.reshape(k**n, rank)
+
+
+def _block_mass(rho: np.ndarray, p: np.ndarray, d: int, n: int) -> float:
+    """p_lambda = Tr(rho^{tensor n} (P tensor P))
+    = sum P[a', a] P[b', b] prod_i rho[a_i b_i, a'_i b'_i].
+
+    P is viewed as a tensor with legs (b'_1..b'_n, b_1..b_n). Each step
+    contracts one copy of rho into legs (b'_i, b_i) and leaves (a'_i, a_i)
+    in their place; a Frobenius product with P closes the trace. No
+    intermediate has more than d^{2n} entries.
+    """
+    rho4 = rho.reshape(d, d, d, d)  # [a, b, a', b']
+    t = p.reshape((d,) * (2 * n))
+    for i in range(n):
+        t = np.tensordot(rho4, t, axes=([3, 1], [i, n + i]))
+        t = np.moveaxis(t, (0, 1), (n + i, i))
+    return float(np.einsum("ij,ij->", p, t.reshape(p.shape)).real)
 
 
 def _n_copy_pass(
     rho: np.ndarray, d: int, n: int, memory_cap: int | None
 ) -> tuple[list[BlockStats], float]:
-    """Every dense per-n quantity from one rho^{tensor n}, one chain projector
-    set and one symmetric basis V (Pi_n = V V^dagger): the block statistics
-    and the direct optimal acceptance Tr(V^dagger rho^{tensor n} V).
+    """Every per-n quantity from rho itself, one chain projector set and one
+    symmetric basis V (Pi_n = V V^dagger): the block statistics and the
+    direct optimal acceptance Tr(V^dagger rho^{tensor n} V).
 
-    m_lambda is contracted through V as well, which avoids any dim^3 product
-    on the doubled chain.
+    Matrix-free: no (d^2)^n x (d^2)^n operator is built. W = rho^{tensor n} V
+    is applied copy by copy; Q_lambda = P_lambda tensor P_lambda acts on the
+    chain-major view X of each column as X -> P X P^T; p_lambda is contracted
+    from P_lambda and rho copy by copy. V and every P_lambda are real (built
+    from permutation matrices), so Q_lambda V is real and only Re W enters
+    m_lambda = Re Tr(W^dagger Q_lambda V) and p_opt = Re Tr(V^dagger W).
+
+    The memory cap is checked once, before any work, against
+    pass_memory_entries: PASS_LIVE_ARRAYS = 3 complex arrays of (d^2)^n x R
+    entries plus the chain projectors. The peak is in the first step of W,
+    where the real V, its complex cast and the step's output are live (2.5
+    such arrays); afterwards the real chain-major V, Re W and the two
+    products of Q_lambda V take 2.
     """
-    dim = (d * d) ** n
-    check_memory_cap(dim * dim, memory_cap, f"{n}-copy block statistics (dim {dim})")
-    rho_n = tensor_power(rho, n, memory_cap)
+    check_memory_cap(
+        pass_memory_entries(d, n), memory_cap, f"{n}-copy pass (d={d})"
+    )
     chain = build_projector_set(d, n, memory_cap)
     v = symmetric_basis(d * d, n, memory_cap)
+    w = _apply_per_copy(rho, v, n)
+    v_chain = copy_to_chain_columns(v, d, n)
+    w_chain = copy_to_chain_columns(w.real, d, n)
+    del v, w
+    opt = float(np.vdot(v_chain, w_chain))
 
     out: list[BlockStats] = []
     for lam in enumerate_partitions(n, d):
-        q = ab_block_projector(
-            chain.projectors[lam], chain.projectors[lam], d, n, memory_cap
-        )
-        p_lam = trace_product(rho_n, q).real
-        m_lam = _overlap(rho_n, q @ v)
+        p = chain.projectors[lam].real
+        q_v = p @ (p @ v_chain.reshape(d**n, -1)).reshape(v_chain.shape)
+        m_lam = float(np.vdot(w_chain, q_v))
+        p_lam = _block_mass(rho, p, d, n)
         d_lam = hook_dim(lam)
         fid = m_lam / p_lam if p_lam > ZERO_BLOCK_TOL else None
         out.append(
@@ -124,7 +185,7 @@ def _n_copy_pass(
                 fidelity=fid,
             )
         )
-    return out, _overlap(rho_n, v)
+    return out, opt
 
 
 def _check_oracle(direct: float, oracle: float, d: int, n: int) -> None:
@@ -138,7 +199,7 @@ def _check_oracle(direct: float, oracle: float, d: int, n: int) -> None:
 def block_statistics(
     rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> list[BlockStats]:
-    """p_lambda and m_lambda for every Young index, from the dense operators."""
+    """p_lambda and m_lambda for every Young index, from the n-copy pass."""
     return _n_copy_pass(rho, d, n, memory_cap)[0]
 
 

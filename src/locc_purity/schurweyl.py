@@ -116,7 +116,8 @@ def sym_projector_bipartite(
     """Symmetric-subspace projector on (C^{d^2})^{tensor n}, copy-major layout.
 
     Each permuted factor is one whole copy A_i B_i; trace = C(d^2+n-1, n).
-    A dense test oracle: the protocol contracts through symmetric_basis.
+    A dense test oracle, off the protocol path: the protocol contracts
+    through symmetric_basis.
     """
     return symmetrizer(d * d, n, memory_cap)
 
@@ -143,6 +144,27 @@ def chain_to_copy_index(d: int, n: int) -> np.ndarray:
     return permuted_basis_index(chain_interleave_permutation(n), d)
 
 
+def copy_to_chain_columns(cols: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Rows of a copy-major column block, reordered into chain-major layout.
+
+    cols has shape ((d^2)^n, k). The result has shape (d^n, d^n, k), and
+    entry [a, b, j] is the amplitude of |a_1..a_n>_A |b_1..b_n>_B in column
+    j: the gather cols[chain_to_copy_index(d, n)], done as one transpose of
+    the 2n digit axes. On each column, viewed as the d^n x d^n matrix X,
+    P_A tensor P_B acts as X -> P_A X P_B^T.
+    """
+    dim = (d * d) ** n
+    if cols.ndim != 2 or cols.shape[0] != dim:
+        raise ValidationError(
+            f"column block shape {cols.shape} does not match (d^2)^n = {dim} rows"
+        )
+    k = cols.shape[1]
+    digits = cols.reshape((d,) * (2 * n) + (k,))
+    return digits.transpose(chain_interleave_permutation(n) + (2 * n,)).reshape(
+        d**n, d**n, k
+    )
+
+
 def chain_to_copy_operator(
     d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> np.ndarray:
@@ -154,6 +176,8 @@ def to_copy_major(op_chain: np.ndarray, d: int, n: int) -> np.ndarray:
     """Conjugate a chain-major operator into copy-major layout.
 
     Equals C @ op_chain @ C.conj().T but implemented as an index shuffle.
+    A dense test oracle, off the protocol path (copy_to_chain_columns
+    reorders column blocks for the protocol).
     """
     dim = (d * d) ** n
     if op_chain.shape != (dim, dim):
@@ -168,7 +192,11 @@ def ab_block_projector(
     p_a: np.ndarray, p_b: np.ndarray, d: int, n: int,
     memory_cap: int | None = DEFAULT_MEMORY_CAP,
 ) -> np.ndarray:
-    """P_A tensor P_B on the doubled chain, returned in copy-major layout."""
+    """P_A tensor P_B on the doubled chain, returned in copy-major layout.
+
+    A dense test oracle, off the protocol path: the protocol applies
+    P_A tensor P_B to chain-major column blocks as X -> P_A X P_B^T.
+    """
     return to_copy_major(kron(p_a, p_b, memory_cap), d, n)
 
 

@@ -184,7 +184,11 @@ def analyze(rho: np.ndarray, d: int) -> StateAnalysis:
 def tensor_power(
     rho: np.ndarray, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> np.ndarray:
-    """rho^{tensor n} in copy-major index order."""
+    """rho^{tensor n} in copy-major index order, as a dense matrix.
+
+    A test oracle, off the protocol path: the n-copy pass applies rho one
+    copy at a time instead.
+    """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     dim = rho.shape[0] ** n

@@ -46,7 +46,10 @@ def check_memory_cap(
 def kron(
     a: np.ndarray, b: np.ndarray, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> np.ndarray:
-    """Kronecker product with a pre-allocation cap check."""
+    """Kronecker product with a pre-allocation cap check.
+
+    A dense test oracle, off the protocol path.
+    """
     dim = a.shape[0] * b.shape[0]
     check_memory_cap(dim * dim, memory_cap, f"Kronecker product of dimension {dim}")
     return np.kron(a, b)
@@ -162,7 +165,8 @@ def symmetrizer(
     """Projector onto the symmetric subspace: the average of all n! copy
     permutations. Trace equals C(local_dim + n - 1, n).
 
-    A dense test oracle; symmetric_basis factors it at far lower cost.
+    A dense test oracle, off the protocol path; symmetric_basis factors it
+    at far lower cost.
     """
     return class_sum(local_dim, n, lambda _: 1.0, 1.0, memory_cap)
 
@@ -172,8 +176,9 @@ def symmetric_basis(
 ) -> np.ndarray:
     """Orthonormal basis of the symmetric subspace, one column per multiset.
 
-    Columns V[:, k] satisfy V @ V.conj().T == symmetrizer(local_dim, n); the
-    low-rank factor makes traces against the symmetric projector cheap.
+    Columns V[:, k] satisfy V @ V.T == symmetrizer(local_dim, n); the
+    low-rank factor makes traces against the symmetric projector cheap. The
+    entries are real.
     """
     if local_dim < 1 or n < 1:
         raise ValidationError(f"need local_dim >= 1 and n >= 1, got {local_dim}, {n}")
@@ -181,7 +186,7 @@ def symmetric_basis(
     rank = math.comb(local_dim + n - 1, n)
     check_memory_cap(dim * rank, memory_cap, f"symmetric basis ({dim} x {rank})")
     weights = _radix_weights(local_dim, n)
-    v = np.zeros((dim, rank), dtype=complex)
+    v = np.zeros((dim, rank))
     for col, multiset in enumerate(itertools.combinations_with_replacement(range(local_dim), n)):
         arrangements = set(itertools.permutations(multiset))
         amp = 1.0 / math.sqrt(len(arrangements))
@@ -210,5 +215,8 @@ def is_projector(a: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(a @ b) without forming the product or any temporary."""
+    """Tr(a @ b) without forming the product or any temporary.
+
+    A dense test oracle, off the protocol path.
+    """
     return complex(np.einsum("ij,ji->", a, b))

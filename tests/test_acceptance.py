@@ -189,7 +189,7 @@ def test_criterion_08_type_class_bounds():
 
 def test_criterion_09_exponent_trend():
     d = 2
-    result = exponent_series(I4, 6)
+    result = exponent_series(I4, 7)
     assert result.truncated_at is None
     log4 = math.log(4)
     prev_opt = prev_star = 0.0
@@ -202,7 +202,7 @@ def test_criterion_09_exponent_trend():
         assert rep.exponent_opt <= log4 + 1e-12, rep.n
         assert rep.exponent_star <= log4 + 1e-12, rep.n
         assert rep.minus_log_p1 == pytest.approx(log4, abs=1e-12)
-    report(9, "exponent sequences for I/4 are monotone, gap-bounded, and below -log p1 = log 4, n <= 6")
+    report(9, "exponent sequences for I/4 are monotone, gap-bounded, and below -log p1 = log 4, n <= 7")
 
 
 def test_criterion_10_cli_determinism(tmp_path, capsys):

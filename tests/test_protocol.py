@@ -3,6 +3,7 @@ the Schur-polynomial oracle for pure inputs, the optimal-acceptance oracle,
 the sandwich inequality, and exponent-series behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from locc_purity.protocol import (
     exponent_series,
     p_opt,
     p_star,
+    pass_memory_entries,
     run_test,
     slack_bound,
     tsuda_acceptance,
@@ -105,12 +107,14 @@ def test_blocks_match_brute_force_dense_route():
         StateSpec(d=2, kind="random_mixed", seed=1),
         StateSpec(d=2, kind="random_mixed", seed=2, rank=2),
         StateSpec(d=2, kind="random_pure", seed=3),
+        StateSpec(d=3, kind="random_mixed", seed=4),
     ]
     for spec in specs:
         rho = build_state(spec)
-        for n in (1, 2, 3):
-            brute = brute_force_blocks(rho, 2, n)
-            for b in block_statistics(rho, 2, n):
+        d = spec.d
+        for n in (1, 2, 3, 4) if d == 2 else (1, 2):
+            brute = brute_force_blocks(rho, d, n)
+            for b in block_statistics(rho, d, n):
                 p_bf, m_bf = brute[b.partition]
                 assert b.p_lambda == pytest.approx(p_bf, abs=1e-10)
                 assert b.m_lambda == pytest.approx(m_bf, abs=1e-10)
@@ -274,7 +278,7 @@ def test_log_p_opt_polynomial_envelope():
 
 def test_exponent_series_truncation_marker():
     result = exponent_series(MIXED_I4, 6, memory_cap=200_000)
-    assert result.truncated_at == 4  # 256^2 complex entries > 200 kB
+    assert result.truncated_at == 4  # 3 x 256 x 35 complex entries > 200 kB
     assert [r.n for r in result.reports] == [1, 2, 3]
 
 
@@ -282,6 +286,22 @@ def test_memory_cap_propagates():
     rho = build_state(MIXED_I4)
     with pytest.raises(MemoryCapError):
         run_test(rho, 2, 4, memory_cap=200_000)
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (2, 6), (3, 3)])
+def test_pass_memory_estimate_bounds_traced_peak(d, n):
+    # the up-front estimate must cover the pass's real peak, and not by
+    # more than a factor 2; the first call warms the index caches
+    rho = build_state(StateSpec(d=d, kind="random_mixed", seed=7))
+    run_test(rho, d, n)
+    tracemalloc.start()
+    try:
+        run_test(rho, d, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = 16 * pass_memory_entries(d, n)
+    assert peak <= estimate <= 2 * peak
 
 
 def test_oracle_disagreement_is_loud():
