@@ -26,20 +26,24 @@ from .errors import InvariantError, ValidationError
 from .partitions import Partition, enumerate_partitions, hook_dim, mn_character, weyl_dim
 from .tensorops import (
     DEFAULT_MEMORY_CAP,
-    class_sum,
+    class_sums,
+    combine_class_sums,
     frobenius,
     is_projector,
     kron,
     perm_operator,
     permuted_basis_index,
     symmetrizer,
-    trace_product,
 )
 
 PROJECTOR_TOL = 1e-10
 TRACE_TOL = 1e-8
-CROSS_BLOCK_TOL = 1e-8
-BLOCK_TRACE_TOL = 1e-6
+
+
+def _isotypic_projector(lam: Partition, sums: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
+    """(d_lambda / n!) * sum_mu chi_lambda(mu) C_mu over the class sums C_mu."""
+    chi = {ct.parts: mn_character(lam, ct) for ct in enumerate_partitions(lam.n, lam.n)}
+    return combine_class_sums(sums, chi.__getitem__, hook_dim(lam))
 
 
 def young_projector(
@@ -47,15 +51,15 @@ def young_projector(
 ) -> np.ndarray:
     """Central idempotent projecting (C^d)^{tensor n} onto the lambda block.
 
-    Built as (d_lambda / n!) * sum_sigma chi_lambda(sigma) U(sigma): always an
-    orthogonal projector, unlike row/column Young symmetrizers.
+    Built as (d_lambda / n!) * sum_sigma chi_lambda(sigma) U(sigma), taken
+    class by class from the integer class sums: always an orthogonal
+    projector, unlike row/column Young symmetrizers.
     """
     if lam.n != n:
         raise ValidationError(f"{lam} is not a partition of {n}")
     if lam.rows > d:
         raise ValidationError(f"{lam} has more than {d} rows")
-    chi = {ct.parts: mn_character(lam, ct) for ct in enumerate_partitions(n, n)}
-    return class_sum(d, n, chi.__getitem__, hook_dim(lam), memory_cap)
+    return _isotypic_projector(lam, class_sums(d, n, memory_cap))
 
 
 @dataclass
@@ -99,11 +103,12 @@ def build_projector_set(
     memory_cap: int | None = DEFAULT_MEMORY_CAP,
     verify: bool = True,
 ) -> IsotypicProjectorSet:
-    """All isotypic projectors for (C^d)^{tensor n}, verified at build time."""
-    projs = {
-        lam: young_projector(lam, d, n, memory_cap)
-        for lam in enumerate_partitions(n, d)
-    }
+    """All isotypic projectors for (C^d)^{tensor n}, verified at build time.
+
+    One pass over the n! permutations (class_sums) serves every P_lambda.
+    """
+    sums = class_sums(d, n, memory_cap)
+    projs = {lam: _isotypic_projector(lam, sums) for lam in enumerate_partitions(n, d)}
     out = IsotypicProjectorSet(d=d, n=n, projectors=projs)
     if verify:
         _verify_projector_set(out)
@@ -198,86 +203,3 @@ def ab_block_projector(
     P_A tensor P_B to chain-major column blocks as X -> P_A X P_B^T.
     """
     return to_copy_major(kron(p_a, p_b, memory_cap), d, n)
-
-
-# ---------------------------------------------------------------------------
-# Block-structure verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BlockStructureReport:
-    d: int
-    n: int
-    block_traces: dict[Partition, float]
-    expected_traces: dict[Partition, int]
-    max_commutator: float
-    max_cross_block: float
-    trace_total: float
-    expected_total: int
-    ok: bool
-
-
-def verify_block_structure(
-    set_a: IsotypicProjectorSet,
-    set_b: IsotypicProjectorSet,
-    pi: np.ndarray,
-    memory_cap: int | None = DEFAULT_MEMORY_CAP,
-) -> BlockStructureReport:
-    """Check the matched-block decomposition of the symmetric projector.
-
-    (a) pi commutes with every matched P_lambda^A tensor P_lambda^B;
-    (b) mismatched products (P_lambda^A tensor P_mu^B) pi vanish;
-    (c) trace(pi (P_lambda^A tensor P_lambda^B)) = (dim U_lambda)^2, summing
-        to C(d^2+n-1, n).
-    """
-    if set_a.d != set_b.d or set_a.n != set_b.n:
-        raise ValidationError("projector sets have mismatched d or n")
-    d, n = set_a.d, set_a.n
-    dim = (d * d) ** n
-    if pi.shape != (dim, dim):
-        raise ValidationError(f"pi has shape {pi.shape}, expected {(dim, dim)}")
-
-    parts = set_a.partitions
-    blocks = {
-        lam: ab_block_projector(set_a.projectors[lam], set_b.projectors[lam], d, n, memory_cap)
-        for lam in parts
-    }
-
-    max_comm = 0.0
-    traces: dict[Partition, float] = {}
-    expected: dict[Partition, int] = {}
-    for lam, q in blocks.items():
-        max_comm = max(max_comm, frobenius(pi @ q - q @ pi))
-        traces[lam] = trace_product(pi, q).real
-        expected[lam] = weyl_dim(lam, d) ** 2
-
-    max_cross = 0.0
-    for lam in parts:
-        for mu in parts:
-            if lam == mu:
-                continue
-            q_mismatch = ab_block_projector(
-                set_a.projectors[lam], set_b.projectors[mu], d, n, memory_cap
-            )
-            max_cross = max(max_cross, frobenius(q_mismatch @ pi))
-
-    total = sum(traces.values())
-    expected_total = math.comb(d * d + n - 1, n)
-    ok = (
-        max_comm <= CROSS_BLOCK_TOL
-        and max_cross <= CROSS_BLOCK_TOL
-        and all(abs(traces[lam] - expected[lam]) <= BLOCK_TRACE_TOL for lam in parts)
-        and abs(total - expected_total) <= BLOCK_TRACE_TOL * max(1, len(parts))
-    )
-    return BlockStructureReport(
-        d=d,
-        n=n,
-        block_traces=traces,
-        expected_traces=expected,
-        max_commutator=max_comm,
-        max_cross_block=max_cross,
-        trace_total=total,
-        expected_total=expected_total,
-        ok=ok,
-    )

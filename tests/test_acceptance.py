@@ -19,9 +19,11 @@ from locc_purity.partitions import (
     weyl_dim,
 )
 from locc_purity.protocol import block_statistics, exponent_series, p_opt, p_star, slack_bound
-from locc_purity.schurweyl import build_projector_set, sym_projector_bipartite, verify_block_structure
+from locc_purity.schurweyl import build_projector_set, sym_projector_bipartite
 from locc_purity.states import StateSpec, build_state
 from locc_purity.tensorops import frobenius, is_hermitian
+
+from oracles import verify_block_structure
 
 I4 = StateSpec(d=2, kind="density_matrix", matrix=np.eye(4) / 4)
 I4_JSON = json.dumps(

@@ -288,7 +288,7 @@ def test_memory_cap_propagates():
         run_test(rho, 2, 4, memory_cap=200_000)
 
 
-@pytest.mark.parametrize("d,n", [(2, 5), (2, 6), (3, 3)])
+@pytest.mark.parametrize("d,n", [(2, 5), (2, 6), (2, 7), (3, 3), (3, 4)])
 def test_pass_memory_estimate_bounds_traced_peak(d, n):
     # the up-front estimate must cover the pass's real peak, and not by
     # more than a factor 2; the first call warms the index caches

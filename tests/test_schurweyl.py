@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from locc_purity.errors import ValidationError
-from locc_purity.partitions import Partition, enumerate_partitions, hook_dim, weyl_dim
+from locc_purity.partitions import Partition, enumerate_partitions, hook_dim, mn_character, weyl_dim
 from locc_purity.schurweyl import (
     ab_block_projector,
     build_projector_set,
@@ -14,10 +14,11 @@ from locc_purity.schurweyl import (
     copy_to_chain_columns,
     sym_projector_bipartite,
     to_copy_major,
-    verify_block_structure,
     young_projector,
 )
 from locc_purity.tensorops import frobenius, is_projector, symmetrizer
+
+from oracles import ORACLE_CASES, class_sum_loop, verify_block_structure
 
 
 def random_unitary(dim, rng):
@@ -48,6 +49,15 @@ def test_singlet_projector():
 def test_mixed_symmetry_projector_trace():
     p = young_projector(Partition((2, 1)), 2, 3)
     assert p.trace().real == pytest.approx(4.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("d,n", ORACLE_CASES)
+def test_young_projectors_match_permutation_loop(d, n):
+    built = build_projector_set(d, n)
+    for lam in enumerate_partitions(n, d):
+        want = class_sum_loop(d, n, lambda mu: mn_character(lam, Partition(mu)), hook_dim(lam))
+        assert np.array_equal(young_projector(lam, d, n), want), lam
+        assert np.array_equal(built.projectors[lam], want), lam
 
 
 def test_young_projector_rejects_bad_shape():
