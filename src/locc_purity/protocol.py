@@ -9,15 +9,21 @@ its acceptance is a Tsuda-weighted sum over blocks. Per-block quantities:
   p_lambda = Tr(rho^{tensor n} Q_lambda),   Q_lambda = P_lambda^A x P_lambda^B
   m_lambda = Tr(rho^{tensor n} Q_lambda Pi_n Q_lambda)
 
-with the block fidelity m_lambda / p_lambda. Three independent routes to the
-optimal acceptance (direct trace, sum of m_lambda, complete homogeneous
-polynomial of the spectrum) are required to agree.
+with the block fidelity m_lambda / p_lambda. On the symmetric subspace
+Schur-Weyl duality pairs the lambda block of chain A with that of chain B,
+so Q_lambda Pi_n Q_lambda = (P_lambda^A x I) Pi_n and
+
+  m_lambda = Tr(P_lambda G),   G = Tr_B(rho^{tensor n} Pi_n),
+
+one partial trace over chain B that serves every block. Three independent
+routes to the optimal acceptance (direct trace, sum of m_lambda, complete
+homogeneous polynomial of the spectrum) are required to agree.
 
 All of them are computed matrix-free, from rho itself, in one pass per n
 (_n_copy_pass): rho^{tensor n} is applied one copy at a time to the
-symmetric basis V (Pi_n = V V^T), Q_lambda acts on the chain-major view of
-V's columns, and p_lambda contracts P_lambda with one copy of rho at a time.
-No array in the pass is larger than (d^2)^n x C(d^2+n-1, n); no
+symmetric basis V (Pi_n = V V^T), G is contracted once from V and
+W = rho^{tensor n} V, and p_lambda contracts P_lambda with one copy of rho
+at a time. No array in the pass is larger than (d^2)^n x C(d^2+n-1, n); no
 (d^2)^n x (d^2)^n operator is built. The dense operators in tensorops,
 states and schurweyl remain as test oracles.
 """
@@ -99,10 +105,11 @@ def pass_memory_entries(d: int, n: int) -> int:
     """Complex entries live at the peak of one n-copy pass, the figure the
     memory cap is checked against: PASS_LIVE_ARRAYS arrays of (d^2)^n x R,
     R = C(d^2+n-1, n) the rank of the symmetric basis, plus the chain
-    projector set (one d^n x d^n matrix per Young index)."""
+    projector set (one real d^n x d^n matrix per Young index, half a complex
+    entry per entry)."""
     rank = math.comb(d * d + n - 1, n)
     blocks = len(enumerate_partitions(n, d))
-    return PASS_LIVE_ARRAYS * (d * d) ** n * rank + blocks * d ** (2 * n)
+    return PASS_LIVE_ARRAYS * (d * d) ** n * rank + -(-blocks * d ** (2 * n) // 2)
 
 
 def _apply_per_copy(op: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -143,19 +150,22 @@ def _n_copy_pass(
     direct optimal acceptance Tr(V^dagger rho^{tensor n} V).
 
     Matrix-free: no (d^2)^n x (d^2)^n operator is built. W = rho^{tensor n} V
-    is applied copy by copy; Q_lambda = P_lambda tensor P_lambda acts on the
-    chain-major view X of each column as X -> P X P^T; p_lambda is contracted
-    from P_lambda and rho copy by copy. V and every P_lambda are real (built
-    from permutation matrices), so Q_lambda V is real and only Re W enters
-    m_lambda = Re Tr(W^dagger Q_lambda V) and p_opt = Re Tr(V^dagger W).
+    is applied copy by copy. V and every P_lambda are real (built from
+    permutation matrices), so only Re W enters p_opt = Re Tr(V^dagger W) and
+    the partial trace G = Re Tr_B(W V^T) = Re Tr_B(rho^{tensor n} Pi_n), one
+    d^n x d^n product of the chain-major views of Re W and V over chain B
+    and the columns. Each block then costs m_lambda = Tr(P_lambda G) and the
+    copy-by-copy contraction of p_lambda from P_lambda and rho.
 
     The memory cap is checked once, before any work, against
     pass_memory_entries: PASS_LIVE_ARRAYS = 3 complex arrays of (d^2)^n x R
     entries plus the chain projectors. The peak is in the first step of W,
     where the real V, its complex cast and the step's output are live (2.5
-    such arrays); afterwards the real chain-major V, Re W and the two
-    products of Q_lambda V take 2.
+    such arrays); the chain-major V and Re W take 1 and are freed once G is
+    formed, so no block works on the doubled chain.
     """
+    if rho.shape != (d * d, d * d):
+        raise ValidationError(f"expected a {d * d} x {d * d} matrix, got {rho.shape}")
     check_memory_cap(
         pass_memory_entries(d, n), memory_cap, f"{n}-copy pass (d={d})"
     )
@@ -166,12 +176,13 @@ def _n_copy_pass(
     w_chain = copy_to_chain_columns(w.real, d, n)
     del v, w
     opt = float(np.vdot(v_chain, w_chain))
+    g = w_chain.reshape(d**n, -1) @ v_chain.reshape(d**n, -1).T
+    del v_chain, w_chain
 
     out: list[BlockStats] = []
     for lam in enumerate_partitions(n, d):
-        p = chain.projectors[lam].real
-        q_v = p @ (p @ v_chain.reshape(d**n, -1)).reshape(v_chain.shape)
-        m_lam = float(np.vdot(w_chain, q_v))
+        p = chain.projectors[lam]
+        m_lam = float(np.vdot(p, g))
         p_lam = _block_mass(rho, p, d, n)
         d_lam = hook_dim(lam)
         fid = m_lam / p_lam if p_lam > ZERO_BLOCK_TOL else None

@@ -78,12 +78,12 @@ class IsotypicProjectorSet:
 def _verify_projector_set(s: IsotypicProjectorSet) -> None:
     dim = s.d**s.n
     parts = s.partitions
-    total = np.zeros((dim, dim), dtype=complex)
+    total = np.zeros((dim, dim))
     for lam, p in s.projectors.items():
         if not is_projector(p, PROJECTOR_TOL):
             raise InvariantError(f"P_{lam} (d={s.d}, n={s.n}) is not a projector")
         expected = weyl_dim(lam, s.d) * hook_dim(lam)
-        tr = float(np.trace(p).real)
+        tr = float(np.trace(p))
         if abs(tr - expected) > TRACE_TOL:
             raise InvariantError(
                 f"trace(P_{lam}) = {tr!r}, expected {expected} (d={s.d}, n={s.n})"
@@ -155,8 +155,8 @@ def copy_to_chain_columns(cols: np.ndarray, d: int, n: int) -> np.ndarray:
     cols has shape ((d^2)^n, k). The result has shape (d^n, d^n, k), and
     entry [a, b, j] is the amplitude of |a_1..a_n>_A |b_1..b_n>_B in column
     j: the gather cols[chain_to_copy_index(d, n)], done as one transpose of
-    the 2n digit axes. On each column, viewed as the d^n x d^n matrix X,
-    P_A tensor P_B acts as X -> P_A X P_B^T.
+    the 2n digit axes. Contracting two such blocks over b and j gives a
+    partial trace over chain B.
     """
     dim = (d * d) ** n
     if cols.ndim != 2 or cols.shape[0] != dim:
@@ -199,7 +199,7 @@ def ab_block_projector(
 ) -> np.ndarray:
     """P_A tensor P_B on the doubled chain, returned in copy-major layout.
 
-    A dense test oracle, off the protocol path: the protocol applies
-    P_A tensor P_B to chain-major column blocks as X -> P_A X P_B^T.
+    A dense test oracle, off the protocol path: the protocol takes each
+    block's overlap from the partial trace over chain B (see protocol).
     """
     return to_copy_major(kron(p_a, p_b, memory_cap), d, n)

@@ -1,4 +1,4 @@
-"""Dense complex operator arithmetic on tensor-product spaces.
+"""Dense operator arithmetic on tensor-product spaces.
 
 Index convention: basis states of (C^k)^{tensor n} carry mixed-radix digit
 strings (i_1, ..., i_n), most significant digit first, so the flat basis
@@ -6,9 +6,9 @@ index is sum_m i_m * k^(n-m). Copy permutations act on digit positions.
 
 Every permutation class-sum operator (the symmetrizer, the isotypic
 projectors) is a weighted sum of the integer class sums C_mu that one
-vectorized pass over the n! permutations builds (class_sums); the symmetric
-basis is filled from the sorted digit rows of the basis indices. Neither
-loops in Python over permutations or basis indices.
+vectorized pass over the n! permutations builds (class_sums), and is real;
+the symmetric basis is filled from the sorted digit rows of the basis
+indices. Neither loops in Python over permutations or basis indices.
 
 Every dense allocation is gated by a memory cap (default 2 GiB); exceeding
 it raises MemoryCapError with the computed estimate instead of crashing.
@@ -28,11 +28,6 @@ from .partitions import enumerate_partitions
 
 DEFAULT_MEMORY_CAP = 2 * 1024**3
 _COMPLEX_BYTES = 16
-
-
-def dense_matrix_bytes(dim: int) -> int:
-    """Bytes needed for one dim x dim complex128 matrix."""
-    return _COMPLEX_BYTES * dim * dim
 
 
 def check_memory_cap(
@@ -207,33 +202,17 @@ def combine_class_sums(
     weight: Callable[[tuple[int, ...]], float],
     scale: float,
 ) -> np.ndarray:
-    """(scale / n!) * sum_mu weight(mu) C_mu over the class sums of S_n.
+    """(scale / n!) * sum_mu weight(mu) C_mu over the class sums of S_n, as
+    a real matrix: every permutation operator is real.
 
-    With integer weights the sum is exact, so the result equals the per
-    permutation accumulation entry for entry.
+    weight receives the cycle type as a non-increasing tuple of cycle
+    lengths. With integer weights the sum is exact, so the result equals the
+    per permutation accumulation entry for entry.
     """
     n = sum(next(iter(sums)))  # every key is a cycle type of n points
     acc = np.asarray(sum(weight(mu) * c for mu, c in sums.items()), dtype=float)
     acc *= scale / math.factorial(n)
-    return acc.astype(complex)
-
-
-def class_sum(
-    local_dim: int,
-    n: int,
-    weight: Callable[[tuple[int, ...]], float],
-    scale: float,
-    memory_cap: int | None = DEFAULT_MEMORY_CAP,
-) -> np.ndarray:
-    """(scale / n!) * sum_sigma weight(cycle type of sigma) U(sigma) over all
-    n! copy permutations of (C^local_dim)^{tensor n}, as a dense matrix.
-
-    weight receives the cycle type as a non-increasing tuple of cycle lengths.
-    Taken as (scale / n!) * sum_mu weight(mu) C_mu over the integer class
-    sums of class_sums, which checks the memory cap on an estimate larger
-    than this output.
-    """
-    return combine_class_sums(class_sums(local_dim, n, memory_cap), weight, scale)
+    return acc
 
 
 def symmetrizer(
@@ -243,9 +222,10 @@ def symmetrizer(
     permutations. Trace equals C(local_dim + n - 1, n).
 
     A dense test oracle, off the protocol path; symmetric_basis factors it
-    at far lower cost.
+    at far lower cost. class_sums checks the memory cap on an estimate
+    larger than this output.
     """
-    return class_sum(local_dim, n, lambda _: 1.0, 1.0, memory_cap)
+    return combine_class_sums(class_sums(local_dim, n, memory_cap), lambda _: 1.0, 1.0)
 
 
 def symmetric_basis(

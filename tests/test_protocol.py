@@ -112,7 +112,7 @@ def test_blocks_match_brute_force_dense_route():
     for spec in specs:
         rho = build_state(spec)
         d = spec.d
-        for n in (1, 2, 3, 4) if d == 2 else (1, 2):
+        for n in (1, 2, 3, 4) if d == 2 else (1, 2, 3):
             brute = brute_force_blocks(rho, d, n)
             for b in block_statistics(rho, d, n):
                 p_bf, m_bf = brute[b.partition]
@@ -302,6 +302,13 @@ def test_pass_memory_estimate_bounds_traced_peak(d, n):
         tracemalloc.stop()
     estimate = 16 * pass_memory_entries(d, n)
     assert peak <= estimate <= 2 * peak
+
+
+@pytest.mark.parametrize("entry", [block_statistics, p_opt, run_test])
+def test_wrong_shape_rho_is_a_validation_error(entry):
+    # a 9x9 state is not a d=2 bipartite state; it must not reach a reshape
+    with pytest.raises(ValidationError, match=r"expected a 4 x 4 matrix, got \(9, 9\)"):
+        entry(np.eye(9) / 9, 2, 2)
 
 
 def test_oracle_disagreement_is_loud():

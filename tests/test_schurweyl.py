@@ -218,6 +218,19 @@ def test_cross_block_product_vanishes():
     assert frobenius(q @ pi) < 1e-10
 
 
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_block_index_on_chain_a_fixes_chain_b(d, n):
+    # Schur-Weyl duality on the symmetric subspace: measuring the Young index
+    # on chain A already selects the same block on chain B
+    s = build_projector_set(d, n)
+    pi = sym_projector_bipartite(d, n)
+    eye = np.eye(d**n)
+    for p in s.projectors.values():
+        one_sided = ab_block_projector(p, eye, d, n) @ pi
+        two_sided = ab_block_projector(p, p, d, n) @ pi
+        assert frobenius(one_sided - two_sided) < 1e-10
+
+
 def test_weyl_squares_sum_to_sym_dimension():
     for n in range(1, 5):
         total = sum(weyl_dim(lam, 2) ** 2 for lam in enumerate_partitions(n, 2))
