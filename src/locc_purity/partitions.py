@@ -10,12 +10,11 @@ integers; floats enter only at the probability layer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .errors import InvariantError, ValidationError
 
@@ -230,34 +229,33 @@ def complete_homogeneous(n: int, mu: Sequence[float]) -> float:
 
 
 def schur_polynomial(lam: Partition, p: Sequence[float]) -> float:
-    """Schur polynomial s_lambda(p) via the Jacobi-Trudi determinant in h_k.
+    """Schur polynomial s_lambda(p) by the branching rule
 
-    Stable for repeated entries (unlike the bialternant quotient); the result
-    is clamped at 0 since Schur polynomials of non-negative inputs are
-    monomial-positive.
+        s_lambda(x_1..x_k) = sum_mu x_k^{|lambda| - |mu|} s_mu(x_1..x_{k-1})
+
+    over the mu that interlace lambda, lambda_1 >= mu_1 >= lambda_2 >= ...
+    >= mu_{k-1} >= lambda_k, memoized per call (Macdonald I.5). Every term
+    of a non-negative input is non-negative, so nothing cancels: an
+    exponentially small value keeps its relative accuracy, and repeated
+    entries need no special case.
     """
     m = len(p)
-    r = lam.rows
-    if r > m:
+    if lam.rows > m:
         raise ValidationError(f"partition {lam} has more rows than variables ({m})")
-    if r == 0:
-        return 1.0
-    max_k = lam.parts[0] + r - 1
-    h = [0.0] * (max_k + 1)
-    h[0] = 1.0
-    for x in p:
-        for k in range(1, max_k + 1):
-            h[k] += x * h[k - 1]
+    xs = [float(x) for x in p]
 
-    def h_at(k: int) -> float:
-        return h[k] if 0 <= k <= max_k else (1.0 if k == 0 else 0.0)
+    @lru_cache(maxsize=None)
+    def branch(parts: tuple[int, ...]) -> float:
+        if not parts:
+            return 1.0
+        k = len(parts)
+        size = sum(parts)
+        inner = (range(parts[i + 1], parts[i] + 1) for i in range(k - 1))
+        return sum(
+            xs[k - 1] ** (size - sum(mu)) * branch(mu) for mu in itertools.product(*inner)
+        )
 
-    mat = np.array(
-        [[h_at(lam.parts[i] - (i + 1) + (j + 1)) for j in range(r)] for i in range(r)],
-        dtype=float,
-    )
-    det = float(np.linalg.det(mat))
-    return max(det, 0.0)
+    return branch(lam.padded(m))
 
 
 # ---------------------------------------------------------------------------

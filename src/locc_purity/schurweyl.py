@@ -1,6 +1,9 @@
 """Isotypic block projectors on copy chains and the doubled-chain symmetric
 subspace projector.
 
+The chain projectors P_lambda are the spectral projectors of the 2- and
+3-cycle class sums, rounded onto their exact class-sum formula.
+
 Two index layouts appear on the doubled chain of n copies of a bipartite
 system with local dimension d:
 
@@ -26,8 +29,8 @@ from .errors import InvariantError, ValidationError
 from .partitions import Partition, enumerate_partitions, hook_dim, mn_character, weyl_dim
 from .tensorops import (
     DEFAULT_MEMORY_CAP,
-    class_sums,
-    combine_class_sums,
+    check_memory_cap,
+    cycle_class_sum,
     frobenius,
     is_projector,
     kron,
@@ -38,28 +41,21 @@ from .tensorops import (
 
 PROJECTOR_TOL = 1e-10
 TRACE_TOL = 1e-8
-
-
-def _isotypic_projector(lam: Partition, sums: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
-    """(d_lambda / n!) * sum_mu chi_lambda(mu) C_mu over the class sums C_mu."""
-    chi = {ct.parts: mn_character(lam, ct) for ct in enumerate_partitions(lam.n, lam.n)}
-    return combine_class_sums(sums, chi.__getitem__, hook_dim(lam))
+SNAP_TOL = 1e-3  # largest distance of (n!/d_lambda) P_lambda from its integers
 
 
 def young_projector(
     lam: Partition, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> np.ndarray:
-    """Central idempotent projecting (C^d)^{tensor n} onto the lambda block.
-
-    Built as (d_lambda / n!) * sum_sigma chi_lambda(sigma) U(sigma), taken
-    class by class from the integer class sums: always an orthogonal
-    projector, unlike row/column Young symmetrizers.
-    """
+    """Central idempotent (d_lambda / n!) sum_sigma chi_lambda(sigma) U(sigma)
+    projecting (C^d)^{tensor n} onto the lambda block, from the unverified
+    build_projector_set: always an orthogonal projector, unlike row/column
+    Young symmetrizers."""
     if lam.n != n:
         raise ValidationError(f"{lam} is not a partition of {n}")
     if lam.rows > d:
         raise ValidationError(f"{lam} has more than {d} rows")
-    return _isotypic_projector(lam, class_sums(d, n, memory_cap))
+    return build_projector_set(d, n, memory_cap, verify=False).projectors[lam]
 
 
 @dataclass
@@ -97,19 +93,89 @@ def _verify_projector_set(s: IsotypicProjectorSet) -> None:
                 raise InvariantError(f"P_{lam} P_{mu} != 0 (d={s.d}, n={s.n})")
 
 
+def central_characters(lam: Partition) -> tuple[int, int]:
+    """(omega_2, omega_3): omega_k = |C_k| chi_lambda(C_k) / d_lambda is the
+    integer by which the k-cycle class sum acts on the lambda block."""
+    n, d_lam = lam.n, hook_dim(lam)
+
+    def omega(k: int) -> int:
+        if k > n:
+            return 0
+        chi = mn_character(lam, Partition((k,) + (1,) * (n - k)))
+        return math.comb(n, k) * math.factorial(k - 1) * chi // d_lam
+
+    return omega(2), omega(3)
+
+
+def projector_set_memory_entries(d: int, n: int) -> int:
+    """Complex-entry equivalent of build_projector_set's live set, the figure
+    its memory cap is checked against: one real d^n x d^n matrix per Young
+    index and four more (T_2 and T_3, or A and U), which also cover eigh's
+    untraced LAPACK copy of A and workspace."""
+    blocks = len(enumerate_partitions(n, d))
+    return -(-(4 + blocks) * d ** (2 * n) // 2)
+
+
+def _spectral_projectors(d: int, n: int) -> dict[Partition, np.ndarray]:
+    """Every P_lambda on (C^d)^{tensor n} from one eigh.
+
+    The central T_2 and T_3 act on the lambda block as omega_2, omega_3, so
+    A = K T_2 + T_3, K = 2 max |omega_3| + 1, acts as the integer key
+    K omega_2 + omega_3; distinct pairs give keys at least 1 apart (checked
+    up front), and P_lambda = U U^T over the eigenvalues within 0.5 of the
+    key. (n!/d_lambda) P_lambda is the integer matrix sum_sigma
+    chi_lambda(sigma) U(sigma): rounding to it (at most SNAP_TOL away) and
+    scaling by d_lambda/n! gives the exact class sum's every entry.
+    """
+    lams = enumerate_partitions(n, d)
+    omega = {lam: central_characters(lam) for lam in lams}
+    spread = 2 * max(abs(w3) for _, w3 in omega.values()) + 1
+    key = {lam: spread * w2 + w3 for lam, (w2, w3) in omega.items()}
+    if len(set(key.values())) < len(key):
+        raise InvariantError(
+            f"the 2- and 3-cycle central characters do not separate the Young "
+            f"indices (d={d}, n={n})"
+        )
+    a = cycle_class_sum(d, n, 2, None)
+    a *= spread
+    a += cycle_class_sum(d, n, 3, None)
+    eigval, u = np.linalg.eigh(a)
+    del a
+    total = math.factorial(n)
+    projs = {}
+    for lam in lams:
+        block = u[:, np.abs(eigval - key[lam]) < 0.5]
+        d_lam = hook_dim(lam)
+        p = block @ block.T
+        p *= total // d_lam
+        snapped = np.rint(p)
+        p -= snapped
+        resid = float(np.abs(p, out=p).max())
+        if resid > SNAP_TOL:
+            raise InvariantError(
+                f"(n!/d_lambda) P_{lam} is {resid!r} from an integer matrix (d={d}, n={n})"
+            )
+        snapped *= d_lam / total
+        projs[lam] = snapped
+    return projs
+
+
 def build_projector_set(
     d: int,
     n: int,
     memory_cap: int | None = DEFAULT_MEMORY_CAP,
     verify: bool = True,
 ) -> IsotypicProjectorSet:
-    """All isotypic projectors for (C^d)^{tensor n}, verified at build time.
-
-    One pass over the n! permutations (class_sums) serves every P_lambda.
+    """All isotypic projectors for (C^d)^{tensor n}, verified at build time,
+    from one eigendecomposition of the 2- and 3-cycle class sums. The memory
+    cap is checked once, up front, against projector_set_memory_entries.
     """
-    sums = class_sums(d, n, memory_cap)
-    projs = {lam: _isotypic_projector(lam, sums) for lam in enumerate_partitions(n, d)}
-    out = IsotypicProjectorSet(d=d, n=n, projectors=projs)
+    check_memory_cap(
+        projector_set_memory_entries(d, n),
+        memory_cap,
+        f"isotypic projector set (d={d}, n={n})",
+    )
+    out = IsotypicProjectorSet(d=d, n=n, projectors=_spectral_projectors(d, n))
     if verify:
         _verify_projector_set(out)
     return out

@@ -261,18 +261,3 @@ def _matrix_from_json(raw: Any) -> np.ndarray:
                 raise ValidationError(f"matrix: entry ({i},{j}) must be a [re, im] pair")
             out[i, j] = complex(cell[0], cell[1])
     return out
-
-
-def spec_to_json_dict(spec: StateSpec) -> dict[str, Any]:
-    """Inverse of spec_from_json, for report metadata."""
-    out: dict[str, Any] = {"d": spec.d, "kind": spec.kind}
-    if spec.schmidt is not None:
-        out["schmidt"] = list(spec.schmidt)
-    if spec.matrix is not None:
-        m = np.asarray(spec.matrix)
-        out["matrix"] = [[[z.real, z.imag] for z in row] for row in m]
-    if spec.seed is not None:
-        out["seed"] = int(spec.seed)
-    if spec.rank is not None:
-        out["rank"] = int(spec.rank)
-    return out

@@ -4,11 +4,10 @@ Index convention: basis states of (C^k)^{tensor n} carry mixed-radix digit
 strings (i_1, ..., i_n), most significant digit first, so the flat basis
 index is sum_m i_m * k^(n-m). Copy permutations act on digit positions.
 
-Every permutation class-sum operator (the symmetrizer, the isotypic
-projectors) is a weighted sum of the integer class sums C_mu that one
-vectorized pass over the n! permutations builds (class_sums), and is real;
-the symmetric basis is filled from the sorted digit rows of the basis
-indices. Neither loops in Python over permutations or basis indices.
+No code here visits the n! permutations. The k-cycle class sums T_k, from
+which schurweyl takes the isotypic projectors, are one gather over the
+O(n^k) cycles; the symmetrizer and the symmetric basis are filled from the
+sorted digit rows of the basis indices. All of them are real.
 
 Every dense allocation is gated by a memory cap (default 2 GiB); exceeding
 it raises MemoryCapError with the computed estimate instead of crashing.
@@ -19,12 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import MemoryCapError, ValidationError
-from .partitions import enumerate_partitions
 
 DEFAULT_MEMORY_CAP = 2 * 1024**3
 _COMPLEX_BYTES = 16
@@ -120,99 +118,45 @@ def perm_operator(
     return op
 
 
-def _cycle_codes(sig: np.ndarray) -> np.ndarray:
-    """sum over points i of (n+1)^(length of i's cycle - 1), per row of sig."""
-    rows, n = sig.shape
-    row = np.arange(rows)[:, None]
-    length = np.zeros((rows, n), dtype=np.int64)
-    at = sig
-    for steps in range(1, n + 1):
-        length[(at == np.arange(n)) & (length == 0)] = steps
-        at = sig[row, at]
-    return ((n + 1) ** (length - 1)).sum(axis=1)
-
-
-def class_sums_memory_entries(local_dim: int, n: int) -> int:
-    """Complex-entry equivalent of class_sums' live set, the figure its memory
-    cap is checked against: three int64 arrays of (number of cycle types) x
-    local_dim^2n entries (see class_sums)."""
-    k = len(enumerate_partitions(n, n))
-    return -(-3 * k * local_dim ** (2 * n) // 2)
-
-
-def class_sums(
-    local_dim: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Integer class sums C_mu = sum over sigma of cycle type mu of U(sigma),
-    one (local_dim^n, local_dim^n) int64 matrix per cycle type of S_n.
-
-    Keys are cycle types as non-increasing tuples of cycle lengths, in
-    enumerate_partitions(n, n) order. One vectorized pass over the n!
-    permutations, a chunk at a time: each chunk's basis-index images are one
-    product of the digit table with the permuted radix weights, and one
-    bincount drops them into the bucket of their cycle type. The memory cap
-    is checked once, before any work, against the live set: the
-    accumulators, one chunk's bincount of the same size, and one index chunk
-    (float and int64 copies), which is chunked to never exceed the
-    accumulators.
-    """
-    if local_dim < 1 or n < 1:
-        raise ValidationError(f"need local_dim >= 1 and n >= 1, got {local_dim}, {n}")
-    dim = local_dim**n
-    types = [lam.parts for lam in enumerate_partitions(n, n)]
-    k = len(types)
-    check_memory_cap(
-        class_sums_memory_entries(local_dim, n),
-        memory_cap,
-        f"permutation class sums of dimension {dim}",
-    )
-    # A permutation's code is the base-(n+1) histogram of the cycle length of
-    # each point: a cycle of length l puts l points at digit l - 1.
-    codes = np.array([sum(l * (n + 1) ** (l - 1) for l in mu) for mu in types])
-    by_code = np.argsort(codes)
-    # e_x -> e_y with y = sum_i digit_i(x) * w[sigma(i)]; the extra column
-    # of ones carries the flat offset of x and of the cycle type's bucket.
-    weights = _radix_weights(local_dim, n)
-    digits = np.ones((dim, n + 1))  # float is exact: every flat index is below 2^53
-    digits[:, :n] = _digit_table(local_dim, n)
-    total = math.factorial(n)
-    # the index block, float and int64 copies of (dim, chunk), stays within
-    # the k * dim^2 int64 accumulators
-    chunk = max(1, k * dim // 2)
-    perms = itertools.permutations(range(n))
-    acc = np.zeros(k * dim * dim, dtype=np.int64)
-    for start in range(0, total, chunk):
-        rows = min(chunk, total - start)
-        sig = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(perms, rows)),
-            dtype=np.int64,
-            count=rows * n,
-        ).reshape(rows, n)
-        type_of = by_code[np.searchsorted(codes, _cycle_codes(sig), sorter=by_code)]
-        cols = np.empty((n + 1, rows))
-        cols[:n] = (dim * weights[sig] + weights).T
-        cols[n] = type_of * dim * dim
-        flat = (digits @ cols).astype(np.int64)
-        acc += np.bincount(flat.ravel(), minlength=acc.size)
-    return dict(zip(types, acc.reshape(k, dim, dim)))
-
-
-def combine_class_sums(
-    sums: dict[tuple[int, ...], np.ndarray],
-    weight: Callable[[tuple[int, ...]], float],
-    scale: float,
+def cycle_class_sum(
+    local_dim: int, n: int, k: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> np.ndarray:
-    """(scale / n!) * sum_mu weight(mu) C_mu over the class sums of S_n, as
-    a real matrix: every permutation operator is real.
+    """T_k = sum of U(sigma) over the k-cycles sigma of S_n, a real
+    (local_dim^n, local_dim^n) matrix with integer entries; zero when k > n.
 
-    weight receives the cycle type as a non-increasing tuple of cycle
-    lengths. With integer weights the sum is exact, so the result equals the
-    per permutation accumulation entry for entry.
+    The cycle c_0 -> c_1 -> ... -> c_0 adds digit_{c_j} * (w[c_{j+1}] - w[c_j])
+    to a basis index: one gather of the digit table over the cycles gives
+    every image, and one bincount drops them into the matrix. The memory cap
+    covers the int64 counts and their float copy.
     """
-    n = sum(next(iter(sums)))  # every key is a cycle type of n points
-    acc = np.asarray(sum(weight(mu) * c for mu, c in sums.items()), dtype=float)
-    acc *= scale / math.factorial(n)
-    return acc
+    if local_dim < 1 or n < 1 or k < 2:
+        raise ValidationError(f"need local_dim, n >= 1 and k >= 2, got {local_dim}, {n}, {k}")
+    dim = local_dim**n
+    check_memory_cap(dim * dim, memory_cap, f"{k}-cycle class sum of dimension {dim}")
+    if k > n:
+        return np.zeros((dim, dim))
+    # every k-cycle once, as its points in cycle order from the smallest
+    cycles = np.array([c for c in itertools.permutations(range(n), k) if c[0] == min(c)])
+    weights = _radix_weights(local_dim, n)
+    step = weights[cycles[:, (np.arange(k) + 1) % k]] - weights[cycles]
+    x = np.arange(dim)[:, None]
+    images = x + np.einsum("xcj,cj->xc", _digit_table(local_dim, n)[:, cycles], step)
+    counts = np.bincount((images * dim + x).ravel(), minlength=dim * dim)
+    return counts.reshape(dim, dim).astype(float)
+
+
+def _multisets(local_dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multiset column of every basis index, and the number of
+    arrangements of every multiset, in combinations_with_replacement order.
+
+    Each basis index's digits, sorted, name its multiset; their radix codes
+    order the multisets lexicographically, which is the
+    combinations_with_replacement order, so np.unique gives both in one pass.
+    """
+    # a temporary digit table: (local_dim^n, n) is too large to cache
+    codes = np.sort(_digits(local_dim, n), axis=1) @ _radix_weights(local_dim, n)
+    _, col, count = np.unique(codes, return_inverse=True, return_counts=True)
+    return col.reshape(local_dim**n), count
 
 
 def symmetrizer(
@@ -221,11 +165,19 @@ def symmetrizer(
     """Projector onto the symmetric subspace: the average of all n! copy
     permutations. Trace equals C(local_dim + n - 1, n).
 
-    A dense test oracle, off the protocol path; symmetric_basis factors it
-    at far lower cost. class_sums checks the memory cap on an estimate
-    larger than this output.
+    Entry (y, x) is (n! // count) * (1/n!) where x and y are arrangements
+    of one multiset that has count of them, and 0 elsewhere. A dense test
+    oracle, off the protocol path; symmetric_basis factors it at far lower
+    cost.
     """
-    return combine_class_sums(class_sums(local_dim, n, memory_cap), lambda _: 1.0, 1.0)
+    if local_dim < 1 or n < 1:
+        raise ValidationError(f"need local_dim >= 1 and n >= 1, got {local_dim}, {n}")
+    dim = local_dim**n
+    check_memory_cap(dim * dim, memory_cap, f"symmetrizer of dimension {dim}")
+    col, count = _multisets(local_dim, n)
+    total = math.factorial(n)
+    entry = (total // count) * (1.0 / total)
+    return np.where(col[:, None] == col, entry[col], 0.0)
 
 
 def symmetric_basis(
@@ -238,21 +190,13 @@ def symmetric_basis(
     entries are real. Column k belongs to the k-th multiset in
     combinations_with_replacement order and holds 1/sqrt(#arrangements) on
     every arrangement of it.
-
-    Each basis index's digits, sorted, name its multiset; their radix codes
-    order the multisets lexicographically, which is the
-    combinations_with_replacement order, so np.unique gives each index's
-    column and each multiset's arrangement count in one pass.
     """
     if local_dim < 1 or n < 1:
         raise ValidationError(f"need local_dim >= 1 and n >= 1, got {local_dim}, {n}")
     dim = local_dim**n
     rank = math.comb(local_dim + n - 1, n)
     check_memory_cap(dim * rank, memory_cap, f"symmetric basis ({dim} x {rank})")
-    # a temporary digit table: (local_dim^n, n) is too large to cache
-    codes = np.sort(_digits(local_dim, n), axis=1) @ _radix_weights(local_dim, n)
-    _, col, count = np.unique(codes, return_inverse=True, return_counts=True)
-    col = col.reshape(dim)
+    col, count = _multisets(local_dim, n)
     v = np.zeros((dim, rank))
     v[np.arange(dim), col] = (1.0 / np.sqrt(count))[col]
     return v

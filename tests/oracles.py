@@ -7,6 +7,8 @@ this directory import it by name.
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,6 +71,25 @@ def symmetric_basis_loop(local_dim, n):
         for arr in arrangements:
             v[int(np.dot(arr, weights)), col] = amp
     return v
+
+
+@lru_cache(maxsize=None)
+def _schur_branch(parts, xs):
+    if not parts:
+        return Fraction(1)
+    k = len(parts)
+    inner = (range(parts[i + 1], parts[i] + 1) for i in range(k - 1))
+    return sum(
+        (xs[k - 1] ** (sum(parts) - sum(mu)) * _schur_branch(mu, xs[: k - 1])
+         for mu in itertools.product(*inner)),
+        Fraction(0),
+    )
+
+
+def schur_exact(lam, p):
+    """s_lambda(p) in exact rational arithmetic (the floats of p taken
+    exactly), by the branching rule over interlacing partitions."""
+    return _schur_branch(lam.padded(len(p)), tuple(Fraction(x) for x in p))
 
 
 @dataclass

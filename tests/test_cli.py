@@ -325,3 +325,16 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "(2,0)" in proc.stdout
+
+
+def test_module_entry_point():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "locc_purity.cli", "dims", "--n", "2", "--d", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "(2,0)" in proc.stdout

@@ -30,6 +30,8 @@ from locc_purity.partitions import (
     weyl_dim,
 )
 
+from oracles import schur_exact
+
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
@@ -410,6 +412,15 @@ def test_schur_completeness():
                 assert total == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("p,n", [((0.9, 0.1), 60), ((0.75, 0.2, 0.05), 30)])
+def test_schur_keeps_relative_accuracy_when_exponentially_small(p, n):
+    # far from the type p the values are tiny, s_(36,24)(0.9, 0.1) ~ 2.5e-26,
+    # and a determinant formula loses them to cancellation
+    for lam in enumerate_partitions(n, len(p)):
+        exact = schur_exact(lam, p)
+        assert schur_polynomial(lam, p) == pytest.approx(float(exact), rel=1e-12, abs=0), lam
+
+
 def test_schur_rejects_too_many_rows():
     with pytest.raises(ValidationError):
         schur_polynomial(Partition((1, 1, 1)), (0.5, 0.5))
@@ -525,6 +536,18 @@ def test_type_region_point_mass():
         )
         assert tc.d_min == pytest.approx(-math.log(p[0]), abs=1e-12)
         assert tc.holds
+
+
+def test_type_region_tail_at_n60_matches_exact():
+    p = (0.9, 0.1)
+    tc = type_region_bound(lambda q: q[0] <= 0.6, p, 60, 2)
+    exact = sum(
+        hook_dim(lam) * schur_exact(lam, p)
+        for lam in enumerate_partitions(60, 2)
+        if lam.type_vector(2)[0] <= 0.6
+    )
+    assert tc.lhs == pytest.approx(float(exact), rel=1e-12, abs=0)
+    assert tc.holds
 
 
 def test_type_region_seeded_instances():

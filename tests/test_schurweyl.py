@@ -1,17 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from locc_purity.errors import ValidationError
+from locc_purity import schurweyl
+from locc_purity.errors import InvariantError, MemoryCapError, ValidationError
 from locc_purity.partitions import Partition, enumerate_partitions, hook_dim, mn_character, weyl_dim
 from locc_purity.schurweyl import (
     ab_block_projector,
     build_projector_set,
+    central_characters,
     chain_interleave_permutation,
     chain_to_copy_index,
     chain_to_copy_operator,
     copy_to_chain_columns,
+    projector_set_memory_entries,
     sym_projector_bipartite,
     to_copy_major,
     young_projector,
@@ -51,13 +55,73 @@ def test_mixed_symmetry_projector_trace():
     assert p.trace().real == pytest.approx(4.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("d,n", ORACLE_CASES)
+# (3, 6) is the first size at which omega_2 alone does not separate the
+# Young indices: (4,1,1) and (3,3) share it
+@pytest.mark.parametrize("d,n", ORACLE_CASES + [(2, 7), (3, 6)])
 def test_young_projectors_match_permutation_loop(d, n):
     built = build_projector_set(d, n)
     for lam in enumerate_partitions(n, d):
         want = class_sum_loop(d, n, lambda mu: mn_character(lam, Partition(mu)), hook_dim(lam))
         assert np.array_equal(young_projector(lam, d, n), want), lam
         assert np.array_equal(built.projectors[lam], want), lam
+
+
+def test_central_characters_separate_young_indices():
+    # every partition with at most d <= 6 rows has at most 6 rows
+    for n in range(1, 15):
+        keys = [central_characters(lam) for lam in enumerate_partitions(n, 6)]
+        assert len(set(keys)) == len(keys), n
+
+
+def test_central_characters_known_values():
+    # omega_2 is the content sum of the diagram
+    assert central_characters(Partition((1,))) == (0, 0)
+    assert central_characters(Partition((2,))) == (1, 0)
+    assert central_characters(Partition((1, 1))) == (-1, 0)
+    assert central_characters(Partition((3,))) == (3, 2)
+    assert central_characters(Partition((2, 1))) == (0, -1)
+    a, b = central_characters(Partition((4, 1, 1))), central_characters(Partition((3, 3)))
+    assert a[0] == b[0] == 3 and a[1] != b[1]
+
+
+def test_projector_build_rejects_unseparated_indices(monkeypatch):
+    monkeypatch.setattr(schurweyl, "central_characters", lambda lam: (0, 0))
+    with pytest.raises(InvariantError, match="separate"):
+        build_projector_set(2, 2)
+
+
+def test_projector_build_rejects_unsnapped_projector(monkeypatch):
+    monkeypatch.setattr(schurweyl, "SNAP_TOL", -1.0)
+    with pytest.raises(InvariantError, match="integer matrix"):
+        build_projector_set(2, 2)
+
+
+@pytest.mark.parametrize("d,n", [(2, 0), (0, 2), (2, -1)])
+def test_projector_set_rejects_bad_sizes(d, n):
+    with pytest.raises(ValidationError):
+        build_projector_set(d, n)
+
+
+def test_projector_set_memory_cap():
+    with pytest.raises(MemoryCapError, match="projector set"):
+        build_projector_set(4, 6, memory_cap=1_000_000)
+    with pytest.raises(MemoryCapError, match="projector set"):
+        young_projector(Partition((6,)), 4, 6, memory_cap=1_000_000)
+
+
+@pytest.mark.parametrize("d,n", [(2, 6), (2, 7), (3, 4), (3, 5)])
+def test_projector_set_memory_estimate_bounds_traced_peak(d, n):
+    # the up-front estimate must cover the real peak, and not by more than
+    # a factor 2; the first call warms the digit-table cache
+    build_projector_set(d, n)
+    tracemalloc.start()
+    try:
+        build_projector_set(d, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = 16 * projector_set_memory_entries(d, n)
+    assert peak <= estimate <= 2 * peak
 
 
 def test_young_projector_rejects_bad_shape():

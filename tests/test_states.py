@@ -12,7 +12,6 @@ from locc_purity.states import (
     build_state,
     partial_trace_b,
     spec_from_json,
-    spec_to_json_dict,
     tensor_power,
     validate_spec,
 )
@@ -176,9 +175,10 @@ def test_spec_rejects_bad_kind_and_rank():
 
 
 def test_spec_from_json_roundtrip():
-    spec = spec_from_json('{"d": 2, "kind": "pure_schmidt", "schmidt": [0.5, 0.5]}')
+    text = '{"d": 2, "kind": "pure_schmidt", "schmidt": [0.5, 0.5]}'
+    spec = spec_from_json(text)
     assert spec.d == 2 and spec.schmidt == (0.5, 0.5)
-    again = spec_from_json(spec_to_json_dict(spec))
+    again = spec_from_json(json.loads(text))
     assert np.array_equal(build_state(spec), build_state(again))
 
 
@@ -190,7 +190,7 @@ def test_spec_from_json_matrix_format():
     }
     spec = spec_from_json(json.dumps(obj))
     assert np.allclose(spec.matrix, np.eye(4) / 4)
-    roundtrip = spec_from_json(spec_to_json_dict(spec))
+    roundtrip = spec_from_json(obj)
     assert np.array_equal(spec.matrix, roundtrip.matrix)
 
 

@@ -1,15 +1,12 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from locc_purity.errors import MemoryCapError, ValidationError
-from locc_purity.partitions import enumerate_partitions
 from locc_purity.tensorops import (
-    class_sums,
-    class_sums_memory_entries,
+    cycle_class_sum,
     frobenius,
     is_hermitian,
     is_projector,
@@ -142,24 +139,18 @@ def test_symmetrizer_memory_cap():
         symmetrizer(4, 6, memory_cap=1_000_000)
 
 
-def test_class_sums_memory_cap():
-    with pytest.raises(MemoryCapError, match="class sums"):
-        class_sums(4, 6, memory_cap=1_000_000)
+@pytest.mark.parametrize("local_dim,n", ORACLE_CASES)
+def test_cycle_class_sums_match_permutation_loop(local_dim, n):
+    for k in (2, 3, 4):
+        cycles = (k,) + (1,) * (n - k)
+        want = class_sum_loop(local_dim, n, lambda mu: mu == cycles, math.factorial(n))
+        got = cycle_class_sum(local_dim, n, k)
+        assert got.dtype == float and np.array_equal(got, want), k
 
 
-@pytest.mark.parametrize("local_dim,n", [(2, 6), (2, 7), (3, 4), (3, 5)])
-def test_class_sums_memory_estimate_bounds_traced_peak(local_dim, n):
-    # the up-front estimate must cover the real peak, and not by more than
-    # a factor 2; the first call warms the digit-table cache
-    class_sums(local_dim, n)
-    tracemalloc.start()
-    try:
-        class_sums(local_dim, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    estimate = 16 * class_sums_memory_entries(local_dim, n)
-    assert peak <= estimate <= 2 * peak
+def test_cycle_class_sum_memory_cap():
+    with pytest.raises(MemoryCapError, match="class sum"):
+        cycle_class_sum(4, 6, 2, memory_cap=1_000_000)
 
 
 @pytest.mark.parametrize("local_dim,n", ORACLE_CASES)
@@ -174,22 +165,6 @@ def test_symmetrizer_matches_permutation_loop(local_dim, n):
 )
 def test_symmetric_basis_matches_arrangement_loop(local_dim, n):
     assert np.array_equal(symmetric_basis(local_dim, n), symmetric_basis_loop(local_dim, n))
-
-
-@pytest.mark.parametrize("local_dim,n", ORACLE_CASES)
-def test_class_sums_invariants(local_dim, n):
-    sums = class_sums(local_dim, n)
-    dim = local_dim**n
-    assert list(sums) == [mu.parts for mu in enumerate_partitions(n, n)]
-    total = np.zeros((dim, dim), dtype=np.int64)
-    for mu, c in sums.items():
-        assert c.dtype == np.int64 and c.shape == (dim, dim)
-        # z_mu = prod_l l^{m_l} m_l!, the centralizer order of the class
-        z = math.prod(l ** mu.count(l) * math.factorial(mu.count(l)) for l in set(mu))
-        assert np.array_equal(c.sum(axis=0), np.full(dim, math.factorial(n) // z))
-        total += c
-    assert np.array_equal(sums[(1,) * n], np.eye(dim, dtype=np.int64))
-    assert np.array_equal(total.sum(axis=0), np.full(dim, math.factorial(n)))
 
 
 def test_trace_product_matches_matmul():
