@@ -30,15 +30,7 @@ from .protocol import (
     slack_bound,
     tsuda_acceptance,
 )
-from .schurweyl import (
-    IsotypicProjectorSet,
-    ab_block_projector,
-    build_projector_set,
-    chain_interleave_permutation,
-    chain_to_copy_index,
-    to_copy_major,
-    young_projector,
-)
+from .schurweyl import IsotypicProjectorSet, build_projector_set, young_projector
 from .states import (
     StateAnalysis,
     StateSpec,
@@ -46,13 +38,7 @@ from .states import (
     build_state,
     partial_trace_b,
     spec_from_json,
-    tensor_power,
 )
-from .tensorops import (
-    DEFAULT_MEMORY_CAP,
-    kron,
-    symmetric_basis,
-    symmetrizer,
-)
+from .tensorops import DEFAULT_MEMORY_CAP
 
 __version__ = "0.1.0"

@@ -13,10 +13,11 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -37,16 +38,8 @@ from .tensorops import DEFAULT_MEMORY_CAP
 
 MEMORY_CAP_ENV = "LOCC_PURITY_MEMORY_CAP"
 
-SWEEP_COLUMNS = (
-    "n",
-    "p_opt",
-    "p_star",
-    "slack",
-    "oracle_p_opt",
-    "exponent_opt",
-    "exponent_star",
-    "minus_log_p1",
-)
+# every scalar field of a TestReport, in declaration order
+SWEEP_COLUMNS = tuple(f.name for f in fields(TestReport) if f.name != "blocks")
 
 
 @dataclass
@@ -70,12 +63,8 @@ class RunConfig:
 
 _TERM_RE = re.compile(r"^q(\d+)(<=|>=|==|=|<|>)([-+0-9.eE]+)$")
 _OPS: dict[str, Callable[[float, float], bool]] = {
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "=": lambda a, b: a == b,
-    "==": lambda a, b: a == b,
+    "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
+    "=": operator.eq, "==": operator.eq,
 }
 
 
@@ -209,16 +198,7 @@ def cmd_dims(cfg: RunConfig) -> str:
                 "holds": bc.holds,
             }
         )
-    columns = (
-        "lambda",
-        "dim_u",
-        "d_lambda",
-        "dim_w",
-        "log_d_lambda_over_n",
-        "type_entropy",
-        "entropy_gap_bound",
-        "holds",
-    )
+    columns = tuple(rows[0])
     footer = [f"total dim_w = {total_w} (d^n = {d**n})"]
     if total_w != d**n:  # pragma: no cover - dimension identity is exact
         raise InvariantError(f"sum of block dimensions {total_w} != {d**n}")
@@ -247,21 +227,14 @@ def cmd_chars(cfg: RunConfig) -> str:
     return emit(("lambda", "cycle_type", "chi"), rows, cfg)
 
 
+BLOCK_COLUMNS = ("lambda", "p_lambda", "m_lambda", "d_lambda", "dim_u", "fidelity")
+
+
 def _block_rows(report: TestReport, d: int) -> list[dict[str, Any]]:
     return [
-        {
-            "lambda": _fmt_partition(b.partition, d),
-            "p_lambda": b.p_lambda,
-            "m_lambda": b.m_lambda,
-            "d_lambda": b.d_lambda,
-            "dim_u": b.dim_u,
-            "fidelity": b.fidelity,
-        }
+        {"lambda": _fmt_partition(b.partition, d), **{c: getattr(b, c) for c in BLOCK_COLUMNS[1:]}}
         for b in report.blocks
     ]
-
-
-BLOCK_COLUMNS = ("lambda", "p_lambda", "m_lambda", "d_lambda", "dim_u", "fidelity")
 
 
 def cmd_blocks(cfg: RunConfig) -> str:
@@ -275,16 +248,7 @@ def cmd_blocks(cfg: RunConfig) -> str:
 
 
 def _report_row(report: TestReport) -> dict[str, Any]:
-    return {
-        "n": report.n,
-        "p_opt": report.p_opt,
-        "p_star": report.p_star,
-        "slack": report.slack,
-        "oracle_p_opt": report.oracle_p_opt,
-        "exponent_opt": report.exponent_opt,
-        "exponent_star": report.exponent_star,
-        "minus_log_p1": report.minus_log_p1,
-    }
+    return {c: getattr(report, c) for c in SWEEP_COLUMNS}
 
 
 def cmd_test(cfg: RunConfig) -> str:

@@ -228,6 +228,24 @@ def complete_homogeneous(n: int, mu: Sequence[float]) -> float:
     return h[n]
 
 
+def _schur_branching(xs: tuple[float, ...]) -> Callable[[tuple[int, ...]], float]:
+    """s_mu(x_1..x_k), k = len(mu), by the branching rule, memoized for the
+    life of the returned function, so every lambda of one p shares it."""
+
+    @lru_cache(maxsize=None)
+    def branch(parts: tuple[int, ...]) -> float:
+        if not parts:
+            return 1.0
+        k = len(parts)
+        size = sum(parts)
+        inner = (range(parts[i + 1], parts[i] + 1) for i in range(k - 1))
+        return sum(
+            xs[k - 1] ** (size - sum(mu)) * branch(mu) for mu in itertools.product(*inner)
+        )
+
+    return branch
+
+
 def schur_polynomial(lam: Partition, p: Sequence[float]) -> float:
     """Schur polynomial s_lambda(p) by the branching rule
 
@@ -242,20 +260,7 @@ def schur_polynomial(lam: Partition, p: Sequence[float]) -> float:
     m = len(p)
     if lam.rows > m:
         raise ValidationError(f"partition {lam} has more rows than variables ({m})")
-    xs = [float(x) for x in p]
-
-    @lru_cache(maxsize=None)
-    def branch(parts: tuple[int, ...]) -> float:
-        if not parts:
-            return 1.0
-        k = len(parts)
-        size = sum(parts)
-        inner = (range(parts[i + 1], parts[i] + 1) for i in range(k - 1))
-        return sum(
-            xs[k - 1] ** (size - sum(mu)) * branch(mu) for mu in itertools.product(*inner)
-        )
-
-    return branch(lam.padded(m))
+    return _schur_branching(tuple(float(x) for x in p))(lam.padded(m))
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +334,12 @@ def type_region_bound(
     lambda/n satisfies the region predicate; rhs is
     (n+1)^(d(d+1)/2) * exp(-n * min D(q||p)) with the minimum taken over the
     region's normalized Young indices (the same finite grid as the lhs).
+    Every lambda takes s_lambda(p) from one branching memo.
     """
     validate_probability_vector(p, "p")
     if len(p) != d:
         raise ValidationError(f"p must have length d={d}, got {len(p)}")
+    schur = _schur_branching(tuple(float(x) for x in p))
     lhs = 0.0
     d_min = math.inf
     members = 0
@@ -341,7 +348,7 @@ def type_region_bound(
         if not region(q):
             continue
         members += 1
-        lhs += hook_dim(lam) * schur_polynomial(lam, p)
+        lhs += hook_dim(lam) * schur(lam.padded(d))
         d_min = min(d_min, kl_divergence(q, p))
     rhs = (n + 1) ** (d * (d + 1) / 2) * math.exp(-n * d_min)
     return TypeRegionCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs, d_min=d_min, n_members=members)

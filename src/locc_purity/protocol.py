@@ -11,44 +11,46 @@ its acceptance is a Tsuda-weighted sum over blocks. Per-block quantities:
 
 with the block fidelity m_lambda / p_lambda. On the symmetric subspace
 Schur-Weyl duality pairs the lambda block of chain A with that of chain B,
-so Q_lambda Pi_n Q_lambda = (P_lambda^A x I) Pi_n and
+so Q_lambda Pi_n Q_lambda = (P_lambda^A x I) Pi_n, and with Pi_n = V V^T
 
-  m_lambda = Tr(P_lambda G),   G = Tr_B(rho^{tensor n} Pi_n),
+  p_opt = Tr Gamma,   m_lambda = Tr(Gamma V^T (P_lambda x I) V),
 
-one partial trace over chain B that serves every block. Three independent
-routes to the optimal acceptance (direct trace, sum of m_lambda, complete
-homogeneous polynomial of the spectrum) are required to agree.
-
-All of them are computed matrix-free, from rho itself, in one pass per n
-(_n_copy_pass): rho^{tensor n} is applied one copy at a time to the
-symmetric basis V (Pi_n = V V^T), G is contracted once from V and
-W = rho^{tensor n} V, and p_lambda contracts P_lambda with one copy of rho
-at a time. No array in the pass is larger than (d^2)^n x C(d^2+n-1, n); no
-(d^2)^n x (d^2)^n operator is built. The dense operators in tensorops,
-states and schurweyl remain as test oracles.
+Gamma = V^T rho^{tensor n} V = Sym^n(rho) being R x R, R = C(d^2+n-1, n).
+Three independent routes to the optimal acceptance (Tr Gamma, sum of
+m_lambda, complete homogeneous polynomial of the spectrum) must agree.
+One pass per n (_n_copy_pass) takes them all from rho itself; no array in it
+has (d^2)^n rows. The dense operators in tensorops, states and schurweyl
+remain as test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvariantError, MemoryCapError, ValidationError
 from .partitions import Partition, complete_homogeneous, enumerate_partitions, hook_dim, weyl_dim
-from .schurweyl import build_projector_set, copy_to_chain_columns
+from .schurweyl import build_projector_set, projector_set_memory_entries
 from .states import StateSpec, analyze, build_state
-from .tensorops import DEFAULT_MEMORY_CAP, check_memory_cap, symmetric_basis
+from .tensorops import (
+    DEFAULT_MEMORY_CAP,
+    _digit_table,
+    _radix_weights,
+    check_memory_cap,
+    multiset_rank,
+    multiset_table,
+    symmetric_power,
+    symmetric_power_memory_entries,
+)
 
 ORACLE_TOL = 1e-8
 SANDWICH_TOL = 1e-9
 # Below this mass a block is treated as unpopulated: its fidelity is
 # undefined (None) and it contributes nothing to the LOCC acceptance.
 ZERO_BLOCK_TOL = 1e-14
-# Complex arrays of shape ((d^2)^n, R) live at the peak of one n-copy pass
-# (see _n_copy_pass); tests/test_protocol.py checks it against tracemalloc.
-PASS_LIVE_ARRAYS = 3
 
 
 @dataclass
@@ -103,26 +105,43 @@ def _acceptance_exponent(p: float, n: int) -> float:
 
 def pass_memory_entries(d: int, n: int) -> int:
     """Complex entries live at the peak of one n-copy pass, the figure the
-    memory cap is checked against: PASS_LIVE_ARRAYS arrays of (d^2)^n x R,
-    R = C(d^2+n-1, n) the rank of the symmetric basis, plus the chain
-    projector set (one real d^n x d^n matrix per Young index, half a complex
-    entry per entry)."""
-    rank = math.comb(d * d + n - 1, n)
-    blocks = len(enumerate_partitions(n, d))
-    return PASS_LIVE_ARRAYS * (d * d) ** n * rank + -(-blocks * d ** (2 * n) // 2)
+    memory cap is checked against: the cached overlap table (d^n x R index
+    and weight) plus the largest stage -- the table's sort, symmetric_power,
+    the projector build next to Y, or the block loop (projector set, Y, one
+    gathered projector and _block_mass's three d^{2n} complex
+    intermediates). Real and int64 entries count half."""
+    table = d**n * math.comb(d * d + n - 1, n)
+    chain = d ** (2 * n)
+    projectors = -(-len(enumerate_partitions(n, d)) * chain // 2)
+    return table + max(
+        -(-n * table // 2),
+        symmetric_power_memory_entries(d * d, n),
+        projector_set_memory_entries(d, n) + table,
+        projectors + table + 3 * chain,
+    )
 
 
-def _apply_per_copy(op: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """op^{tensor n} @ cols for cols of shape (k^n, R), one copy at a time.
+@lru_cache(maxsize=None)
+def _overlap_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The state-independent tables of every m_lambda; cached read-only.
 
-    Each step applies op to the leading copy axis and rotates that axis to
-    the last copy position, so after n steps the order is restored.
+    Multiset gamma, a column of Gamma, has the chain-major representative
+    (a_gamma, b_gamma) that holds its sorted modes a d + b in copies 1..n.
+    Returns a_gamma; cols[a, gamma], the multiset of (a, b_gamma); and
+    weight = s[cols] / s[gamma], s the entries 1 / sqrt(#arrangements) of
+    the symmetric basis columns.
     """
-    k, rank = op.shape[0], cols.shape[1]
-    x = cols
-    for _ in range(n):
-        x = op @ x.reshape(k, -1, rank).transpose(1, 0, 2)
-    return x.reshape(k**n, rank)
+    reps = multiset_table(d * d, n)
+    modes = _digit_table(d, n)[:, None, :] * d + reps % d
+    modes.sort(axis=2)
+    cols = multiset_rank(d * d, modes)
+    factorial = np.array([math.factorial(i) for i in range(n + 1)], dtype=float)
+    occupation = (reps[:, :, None] == np.arange(d * d)).sum(axis=1)
+    scale = 1.0 / np.sqrt(factorial[n] / factorial[occupation].prod(axis=1))
+    tables = (reps // d @ _radix_weights(d, n), cols, scale[cols] / scale)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def _block_mass(rho: np.ndarray, p: np.ndarray, d: int, n: int) -> float:
@@ -145,57 +164,36 @@ def _block_mass(rho: np.ndarray, p: np.ndarray, d: int, n: int) -> float:
 def _n_copy_pass(
     rho: np.ndarray, d: int, n: int, memory_cap: int | None
 ) -> tuple[list[BlockStats], float]:
-    """Every per-n quantity from rho itself, one chain projector set and one
-    symmetric basis V (Pi_n = V V^dagger): the block statistics and the
-    direct optimal acceptance Tr(V^dagger rho^{tensor n} V).
+    """The block statistics and the direct optimal acceptance Tr Re Gamma.
 
-    Matrix-free: no (d^2)^n x (d^2)^n operator is built. W = rho^{tensor n} V
-    is applied copy by copy. V and every P_lambda are real (built from
-    permutation matrices), so only Re W enters p_opt = Re Tr(V^dagger W) and
-    the partial trace G = Re Tr_B(W V^T) = Re Tr_B(rho^{tensor n} Pi_n), one
-    d^n x d^n product of the chain-major views of Re W and V over chain B
-    and the columns. Each block then costs m_lambda = Tr(P_lambda G) and the
-    copy-by-copy contraction of p_lambda from P_lambda and rho.
+    m_lambda = Tr(Gamma E_lambda), E_lambda = V^T (P_lambda x I) V real
+    symmetric, so only Re Gamma enters. V^T M is constant over the rows of
+    one multiset when M commutes with every copy permutation, so one
+    representative (a_gamma, b_gamma) per column gives all of E_lambda:
 
-    The memory cap is checked once, before any work, against
-    pass_memory_entries: PASS_LIVE_ARRAYS = 3 complex arrays of (d^2)^n x R
-    entries plus the chain projectors. The peak is in the first step of W,
-    where the real V, its complex cast and the step's output are live (2.5
-    such arrays); the chain-major V and Re W take 1 and are freed once G is
-    formed, so no block works on the doubled chain.
+      m_lambda = sum_{a, gamma} P_lambda[a, a_gamma] Y[a, gamma],
+      Y[a, gamma] = weight[a, gamma] Re Gamma[cols[a, gamma], gamma]
+
+    (see _overlap_table). The memory cap is checked once, before any work,
+    against pass_memory_entries.
     """
     if rho.shape != (d * d, d * d):
         raise ValidationError(f"expected a {d * d} x {d * d} matrix, got {rho.shape}")
-    check_memory_cap(
-        pass_memory_entries(d, n), memory_cap, f"{n}-copy pass (d={d})"
-    )
+    check_memory_cap(pass_memory_entries(d, n), memory_cap, f"{n}-copy pass (d={d})")
+    reps, cols, weight = _overlap_table(d, n)
+    gamma = symmetric_power(rho, n, memory_cap).real
+    opt = float(np.trace(gamma))
+    y = weight * gamma[cols, np.arange(cols.shape[1])]
+    del gamma
     chain = build_projector_set(d, n, memory_cap)
-    v = symmetric_basis(d * d, n, memory_cap)
-    w = _apply_per_copy(rho, v, n)
-    v_chain = copy_to_chain_columns(v, d, n)
-    w_chain = copy_to_chain_columns(w.real, d, n)
-    del v, w
-    opt = float(np.vdot(v_chain, w_chain))
-    g = w_chain.reshape(d**n, -1) @ v_chain.reshape(d**n, -1).T
-    del v_chain, w_chain
 
     out: list[BlockStats] = []
     for lam in enumerate_partitions(n, d):
         p = chain.projectors[lam]
-        m_lam = float(np.vdot(p, g))
+        m_lam = float(np.vdot(p[:, reps], y))
         p_lam = _block_mass(rho, p, d, n)
-        d_lam = hook_dim(lam)
         fid = m_lam / p_lam if p_lam > ZERO_BLOCK_TOL else None
-        out.append(
-            BlockStats(
-                partition=lam,
-                p_lambda=p_lam,
-                m_lambda=m_lam,
-                d_lambda=d_lam,
-                dim_u=weyl_dim(lam, d),
-                fidelity=fid,
-            )
-        )
+        out.append(BlockStats(lam, p_lam, m_lam, hook_dim(lam), weyl_dim(lam, d), fid))
     return out, opt
 
 
@@ -218,7 +216,7 @@ def p_opt(
     rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> float:
     """Acceptance probability of the globally optimal test, Tr(rho^n Pi_n),
-    taken as Tr(V^dagger rho^n V) over the symmetric basis V.
+    taken as Tr Gamma, Gamma = Sym^n(rho) on the symmetric subspace.
 
     Cross-checked on every call against the complete homogeneous polynomial
     of the single-copy spectrum; disagreement is an InvariantError.

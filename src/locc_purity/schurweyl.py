@@ -2,7 +2,8 @@
 subspace projector.
 
 The chain projectors P_lambda are the spectral projectors of the 2- and
-3-cycle class sums, rounded onto their exact class-sum formula.
+3-cycle class sums, rounded onto their exact class-sum formula. They are the
+only operators here on the protocol path.
 
 Two index layouts appear on the doubled chain of n copies of a bipartite
 system with local dimension d:
@@ -13,9 +14,9 @@ system with local dimension d:
   copy is one factor of dimension d^2, used for rho^{tensor n} and for the
   symmetric projector.
 
-The translation between the two is a permutation of 2n tensor factors and is
-exposed as a first-class, tested operation: getting it wrong transposes
-blocks silently, so nothing here reorders indices ad hoc.
+The translation between the two is a permutation of 2n tensor factors. The
+dense doubled-chain operators and the reorder between the layouts are test
+oracles: the protocol never builds a (d^2)^n-sized array.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .tensorops import (
     frobenius,
     is_projector,
     kron,
-    perm_operator,
     permuted_basis_index,
     symmetrizer,
 )
@@ -187,8 +187,8 @@ def sym_projector_bipartite(
     """Symmetric-subspace projector on (C^{d^2})^{tensor n}, copy-major layout.
 
     Each permuted factor is one whole copy A_i B_i; trace = C(d^2+n-1, n).
-    A dense test oracle, off the protocol path: the protocol contracts
-    through symmetric_basis.
+    A dense test oracle, off the protocol path: the protocol works on the
+    symmetric subspace itself (tensorops.symmetric_power).
     """
     return symmetrizer(d * d, n, memory_cap)
 
@@ -215,40 +215,11 @@ def chain_to_copy_index(d: int, n: int) -> np.ndarray:
     return permuted_basis_index(chain_interleave_permutation(n), d)
 
 
-def copy_to_chain_columns(cols: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Rows of a copy-major column block, reordered into chain-major layout.
-
-    cols has shape ((d^2)^n, k). The result has shape (d^n, d^n, k), and
-    entry [a, b, j] is the amplitude of |a_1..a_n>_A |b_1..b_n>_B in column
-    j: the gather cols[chain_to_copy_index(d, n)], done as one transpose of
-    the 2n digit axes. Contracting two such blocks over b and j gives a
-    partial trace over chain B.
-    """
-    dim = (d * d) ** n
-    if cols.ndim != 2 or cols.shape[0] != dim:
-        raise ValidationError(
-            f"column block shape {cols.shape} does not match (d^2)^n = {dim} rows"
-        )
-    k = cols.shape[1]
-    digits = cols.reshape((d,) * (2 * n) + (k,))
-    return digits.transpose(chain_interleave_permutation(n) + (2 * n,)).reshape(
-        d**n, d**n, k
-    )
-
-
-def chain_to_copy_operator(
-    d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
-) -> np.ndarray:
-    """Dense chain-to-copy unitary (for verification; prefer to_copy_major)."""
-    return perm_operator(chain_interleave_permutation(n), d, memory_cap)
-
-
 def to_copy_major(op_chain: np.ndarray, d: int, n: int) -> np.ndarray:
     """Conjugate a chain-major operator into copy-major layout.
 
     Equals C @ op_chain @ C.conj().T but implemented as an index shuffle.
-    A dense test oracle, off the protocol path (copy_to_chain_columns
-    reorders column blocks for the protocol).
+    A dense test oracle, off the protocol path.
     """
     dim = (d * d) ** n
     if op_chain.shape != (dim, dim):
@@ -266,6 +237,6 @@ def ab_block_projector(
     """P_A tensor P_B on the doubled chain, returned in copy-major layout.
 
     A dense test oracle, off the protocol path: the protocol takes each
-    block's overlap from the partial trace over chain B (see protocol).
+    block's overlap on the symmetric subspace (see protocol).
     """
     return to_copy_major(kron(p_a, p_b, memory_cap), d, n)

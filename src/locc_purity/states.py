@@ -186,8 +186,8 @@ def tensor_power(
 ) -> np.ndarray:
     """rho^{tensor n} in copy-major index order, as a dense matrix.
 
-    A test oracle, off the protocol path: the n-copy pass applies rho one
-    copy at a time instead.
+    A test oracle, off the protocol path: the n-copy pass works on the
+    symmetric subspace instead (tensorops.symmetric_power).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")

@@ -7,7 +7,9 @@ index is sum_m i_m * k^(n-m). Copy permutations act on digit positions.
 No code here visits the n! permutations. The k-cycle class sums T_k, from
 which schurweyl takes the isotypic projectors, are one gather over the
 O(n^k) cycles; the symmetrizer and the symmetric basis are filled from the
-sorted digit rows of the basis indices. All of them are real.
+sorted digit rows of the basis indices. All of them are real. On the
+protocol path, symmetric_power gives op^{tensor n} on the symmetric subspace
+as an R x R matrix, R = C(k+n-1, n), by a recursion over multiset tables.
 
 Every dense allocation is gated by a memory cap (default 2 GiB); exceeding
 it raises MemoryCapError with the computed estimate instead of crashing.
@@ -146,17 +148,12 @@ def cycle_class_sum(
 
 
 def _multisets(local_dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The multiset column of every basis index, and the number of
-    arrangements of every multiset, in combinations_with_replacement order.
-
-    Each basis index's digits, sorted, name its multiset; their radix codes
-    order the multisets lexicographically, which is the
-    combinations_with_replacement order, so np.unique gives both in one pass.
-    """
-    # a temporary digit table: (local_dim^n, n) is too large to cache
-    codes = np.sort(_digits(local_dim, n), axis=1) @ _radix_weights(local_dim, n)
-    _, col, count = np.unique(codes, return_inverse=True, return_counts=True)
-    return col.reshape(local_dim**n), count
+    """The multiset column of every basis index (its sorted digits) and the
+    number of arrangements of every multiset."""
+    digits = _digits(local_dim, n)  # a temporary: too large to cache
+    digits.sort(axis=1)
+    col = multiset_rank(local_dim, digits)
+    return col, np.bincount(col)
 
 
 def symmetrizer(
@@ -200,6 +197,82 @@ def symmetric_basis(
     v = np.zeros((dim, rank))
     v[np.arange(dim), col] = (1.0 / np.sqrt(count))[col]
     return v
+
+
+@lru_cache(maxsize=None)
+def multiset_table(k: int, m: int) -> np.ndarray:
+    """The m-multisets of range(k) as sorted rows, in the column order of
+    symmetric_basis(k, m); cached read-only."""
+    table = np.array(list(itertools.combinations_with_replacement(range(k), m)))
+    table.setflags(write=False)
+    return table
+
+
+def multiset_rank(k: int, rows: np.ndarray) -> np.ndarray:
+    """The row of multiset_table(k, m) equal to each sorted row (last axis m):
+    sorted rows of one length order as their radix-k codes."""
+    weights = _radix_weights(k, rows.shape[-1])
+    return np.searchsorted(multiset_table(k, rows.shape[-1]) @ weights, rows @ weights)
+
+
+@lru_cache(maxsize=None)
+def _power_step(k: int, m: int) -> tuple[np.ndarray, ...]:
+    """Index tables of symmetric_power's step m on k modes; cached read-only.
+
+    Column beta is a^dagger_f |beta'> / sqrt(beta_f), f its smallest mode.
+    Row alpha sums the step table's rows (alpha - e_j, j) over the m entries
+    j of its multiset: mode j comes alpha_j times, so each row carries
+    sqrt(alpha_j) / alpha_j = 1 / sqrt((alpha - e_j)_j + 1), its lift.
+    """
+    prev, cur = multiset_table(k, m - 1), multiset_table(k, m)
+    drop = np.stack([multiset_rank(k, np.delete(cur, p, axis=1)) for p in range(m)], axis=1)
+    lift = 1.0 / np.sqrt(1 + (prev[:, :, None] == np.arange(k)).sum(axis=1))
+    col_scale = 1.0 / np.sqrt((cur == cur[:, :1]).sum(axis=1))
+    tables = (drop[:, 0], cur[:, 0], col_scale, lift, drop * k + cur)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def symmetric_power_memory_entries(k: int, n: int) -> int:
+    """Complex entries live at the peak of symmetric_power's last step:
+    Gamma_{n-1}, the (R_{n-1}, k, R_n) step table, one row gather and
+    Gamma_n, plus two ufunc buffers of numpy's default 8192 elements, which
+    decide the peak at the smallest sizes."""
+    rank, prev = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1)
+    return prev * prev + k * prev * rank + 2 * rank * rank + 2 * 8192
+
+
+def symmetric_power(
+    op: np.ndarray, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
+) -> np.ndarray:
+    """Gamma = V^T op^{tensor n} V = Sym^n(op), V = symmetric_basis(k, n):
+    R x R, R = C(k + n - 1, n), with no k^n-sized array.
+
+    Sym^m(op) a^dagger_f = a^dagger(op e_f) Sym^{m-1}(op), so from
+    Gamma_1 = op, with f the smallest mode of beta and beta' = beta - e_f,
+
+      Gamma_m[alpha, beta] =
+          sum_j sqrt(alpha_j) op[j, f] Gamma_{m-1}[alpha - e_j, beta'] / sqrt(beta_f):
+
+    per level one column gather and product form the step table, and m row
+    gathers sum it (see _power_step).
+    """
+    if op.ndim != 2 or op.shape[0] != op.shape[1] or n < 1:
+        raise ValidationError(f"need a square matrix and n >= 1, got {op.shape}, {n}")
+    k = op.shape[0]
+    what = f"symmetric power (k={k}, n={n})"
+    check_memory_cap(symmetric_power_memory_entries(k, n), memory_cap, what)
+    gamma = np.array(op, dtype=np.result_type(op, float))
+    for m in range(2, n + 1):
+        prime, low, col_scale, lift, rows = _power_step(k, m)
+        step = gamma[:, None, prime] * (op[:, low] * col_scale)
+        step *= lift[:, :, None]
+        step = step.reshape(-1, len(low))
+        gamma = step[rows[:, 0]]
+        for p in range(1, m):
+            gamma += step[rows[:, p]]
+    return gamma
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,15 @@ import numpy as np
 
 from locc_purity.errors import ValidationError
 from locc_purity.partitions import Partition, weyl_dim
-from locc_purity.schurweyl import IsotypicProjectorSet, ab_block_projector
+from locc_purity.schurweyl import (
+    IsotypicProjectorSet,
+    ab_block_projector,
+    chain_interleave_permutation,
+)
 from locc_purity.tensorops import (
     DEFAULT_MEMORY_CAP,
     frobenius,
+    perm_operator,
     permuted_basis_index,
     trace_product,
 )
@@ -30,6 +35,11 @@ BLOCK_TRACE_TOL = 1e-6
 ORACLE_CASES = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [
     (4, n) for n in range(1, 4)
 ]
+
+
+def chain_to_copy_operator(d, n):
+    """Dense chain-to-copy unitary C, for checking the index shuffles."""
+    return perm_operator(chain_interleave_permutation(n), d)
 
 
 def cycle_type(sigma):

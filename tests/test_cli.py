@@ -6,6 +6,7 @@ import pytest
 
 from locc_purity.cli import SWEEP_COLUMNS, parse_region, run
 from locc_purity.errors import ValidationError
+from locc_purity.protocol import pass_memory_entries
 
 I4_SPEC = json.dumps(
     {
@@ -18,6 +19,12 @@ I4_SPEC = json.dumps(
 )
 MAX_ENT_SPEC = '{"d": 2, "kind": "pure_schmidt", "schmidt": [0.5, 0.5]}'
 RANDOM_SPEC = '{"d": 2, "kind": "random_mixed", "seed": 404}'
+# a cap between the d=2 pass estimates at n=3 and n=4
+CAP_N4 = "330000"
+
+
+def assert_cap_truncates_at_n4():
+    assert 16 * pass_memory_entries(2, 3) <= int(CAP_N4) < 16 * pass_memory_entries(2, 4)
 
 
 def read_csv(path):
@@ -167,11 +174,12 @@ def test_sweep_exponents_monotone(tmp_path):
 
 
 def test_sweep_truncation_marker(tmp_path):
+    assert_cap_truncates_at_n4()
     out = tmp_path / "trunc.csv"
     rc = run(
         [
             "sweep", "--d", "2", "--n-max", "5", "--state", I4_SPEC,
-            "--format", "csv", "--out", str(out), "--memory-cap", "200000",
+            "--format", "csv", "--out", str(out), "--memory-cap", CAP_N4,
         ]
     )
     assert rc == 0
@@ -182,7 +190,7 @@ def test_sweep_truncation_marker(tmp_path):
     run(
         [
             "sweep", "--d", "2", "--n-max", "5", "--state", I4_SPEC,
-            "--format", "json", "--out", str(json_out), "--memory-cap", "200000",
+            "--format", "json", "--out", str(json_out), "--memory-cap", CAP_N4,
         ]
     )
     assert json.loads(json_out.read_text())["truncated_at"] == 4
@@ -290,8 +298,9 @@ def test_d_mismatch_exits_2(capsys):
 
 
 def test_memory_cap_exits_3_with_estimate(capsys):
+    assert_cap_truncates_at_n4()
     rc = run(
-        ["test", "--d", "2", "--n", "4", "--state", I4_SPEC, "--memory-cap", "100000"]
+        ["test", "--d", "2", "--n", "4", "--state", I4_SPEC, "--memory-cap", CAP_N4]
     )
     assert rc == 3
     err = capsys.readouterr().err
@@ -299,7 +308,8 @@ def test_memory_cap_exits_3_with_estimate(capsys):
 
 
 def test_memory_cap_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("LOCC_PURITY_MEMORY_CAP", "100000")
+    assert_cap_truncates_at_n4()
+    monkeypatch.setenv("LOCC_PURITY_MEMORY_CAP", CAP_N4)
     rc = run(["test", "--d", "2", "--n", "4", "--state", I4_SPEC])
     assert rc == 3
     monkeypatch.setenv("LOCC_PURITY_MEMORY_CAP", "not-a-number")

@@ -550,6 +550,19 @@ def test_type_region_tail_at_n60_matches_exact():
     assert tc.holds
 
 
+def test_type_region_lhs_is_the_per_lambda_schur_sum():
+    # one branching memo shared by every lambda gives the same sum, bit for bit
+    p = (0.5, 0.3, 0.2)
+    for n in range(1, 21):
+        region = lambda q: q[0] <= 0.6  # noqa: E731
+        tc = type_region_bound(region, p, n, 3)
+        want = 0.0
+        for lam in enumerate_partitions(n, 3):
+            if region(lam.type_vector(3)):
+                want += hook_dim(lam) * schur_polynomial(lam, p)
+        assert tc.lhs == want, n
+
+
 def test_type_region_seeded_instances():
     rng = np.random.default_rng(99)
     for trial in range(20):

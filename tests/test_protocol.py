@@ -276,19 +276,33 @@ def test_log_p_opt_polynomial_envelope():
             assert lo - 1e-9 <= math.log(p_opt(rho, 2, n)) <= hi + 1e-9
 
 
+# a cap between the d=2 pass estimates at n=3 and n=4 (asserted where used)
+CAP_N4 = 330_000
+
+
 def test_exponent_series_truncation_marker():
-    result = exponent_series(MIXED_I4, 6, memory_cap=200_000)
-    assert result.truncated_at == 4  # 3 x 256 x 35 complex entries > 200 kB
+    assert 16 * pass_memory_entries(2, 3) <= CAP_N4 < 16 * pass_memory_entries(2, 4)
+    result = exponent_series(MIXED_I4, 6, memory_cap=CAP_N4)
+    assert result.truncated_at == 4
     assert [r.n for r in result.reports] == [1, 2, 3]
 
 
 def test_memory_cap_propagates():
+    assert 16 * pass_memory_entries(2, 3) <= CAP_N4 < 16 * pass_memory_entries(2, 4)
     rho = build_state(MIXED_I4)
     with pytest.raises(MemoryCapError):
-        run_test(rho, 2, 4, memory_cap=200_000)
+        run_test(rho, 2, 4, memory_cap=CAP_N4)
 
 
-@pytest.mark.parametrize("d,n", [(2, 5), (2, 6), (2, 7), (3, 3), (3, 4)])
+@pytest.mark.parametrize("d,n_max", [(2, 9), (3, 5)])
+def test_default_cap_reaches_past_the_doubled_chain(d, n_max):
+    # a (d^2)^n x R working set would exceed the default cap at (2, 9) and (3, 5)
+    result = exponent_series(StateSpec(d=d, kind="random_mixed", seed=5), n_max)
+    assert result.truncated_at is None
+    assert [r.n for r in result.reports] == list(range(1, n_max + 1))
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (2, 6), (2, 7), (2, 8), (3, 3), (3, 4), (3, 5)])
 def test_pass_memory_estimate_bounds_traced_peak(d, n):
     # the up-front estimate must cover the pass's real peak, and not by
     # more than a factor 2; the first call warms the index caches

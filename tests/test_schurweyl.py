@@ -13,8 +13,6 @@ from locc_purity.schurweyl import (
     central_characters,
     chain_interleave_permutation,
     chain_to_copy_index,
-    chain_to_copy_operator,
-    copy_to_chain_columns,
     projector_set_memory_entries,
     sym_projector_bipartite,
     to_copy_major,
@@ -22,7 +20,12 @@ from locc_purity.schurweyl import (
 )
 from locc_purity.tensorops import frobenius, is_projector, symmetrizer
 
-from oracles import ORACLE_CASES, class_sum_loop, verify_block_structure
+from oracles import (
+    ORACLE_CASES,
+    chain_to_copy_operator,
+    class_sum_loop,
+    verify_block_structure,
+)
 
 
 def random_unitary(dim, rng):
@@ -228,18 +231,6 @@ def test_chain_to_copy_index_is_permutation():
 def test_to_copy_major_rejects_wrong_shape():
     with pytest.raises(ValidationError):
         to_copy_major(np.eye(8), 2, 2)
-
-
-def test_copy_to_chain_columns_matches_index_gather():
-    rng = np.random.default_rng(24)
-    for d, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
-        dim = (d * d) ** n
-        cols = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
-        got = copy_to_chain_columns(cols, d, n)
-        assert got.shape == (d**n, d**n, 5)
-        assert np.array_equal(got.reshape(dim, 5), cols[chain_to_copy_index(d, n)])
-    with pytest.raises(ValidationError):
-        copy_to_chain_columns(np.ones((8, 2)), 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ from locc_purity.tensorops import (
     is_projector,
     kron,
     perm_operator,
+    multiset_table,
     symmetric_basis,
+    symmetric_power,
     symmetrizer,
     trace_product,
 )
+from locc_purity.states import StateSpec, build_state, tensor_power
 
 from oracles import ORACLE_CASES, class_sum_loop, symmetric_basis_loop
 
@@ -165,6 +168,59 @@ def test_symmetrizer_matches_permutation_loop(local_dim, n):
 )
 def test_symmetric_basis_matches_arrangement_loop(local_dim, n):
     assert np.array_equal(symmetric_basis(local_dim, n), symmetric_basis_loop(local_dim, n))
+
+
+def random_complex(dim, rng):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+@pytest.mark.parametrize(
+    "d,n", [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)]
+)
+def test_symmetric_power_is_symmetric_basis_sandwich(d, n):
+    # Gamma = V^T op^{tensor n} V for a state and for a general complex matrix
+    v = symmetric_basis(d * d, n)
+    rng = np.random.default_rng(10 * d + n)
+    rho = build_state(StateSpec(d=d, kind="random_mixed", seed=n))
+    for op in (rho, random_complex(d * d, rng)):
+        want = v.T @ tensor_power(op, n) @ v
+        got = symmetric_power(op, n)
+        assert got.shape == (math.comb(d * d + n - 1, n),) * 2
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 3), (5, 2)])
+def test_symmetric_power_is_multiplicative(k, n):
+    # Sym^n is a representation of GL(k): Sym^n(AB) = Sym^n(A) Sym^n(B)
+    rng = np.random.default_rng(k + 7 * n)
+    a, b = random_complex(k, rng), random_complex(k, rng)
+    got = symmetric_power(a @ b, n)
+    want = symmetric_power(a, n) @ symmetric_power(b, n)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k,n", [(4, 6), (9, 3)])
+def test_symmetric_power_of_hermitian_is_hermitian(k, n):
+    rng = np.random.default_rng(k * n)
+    h = random_complex(k, rng)
+    h = h + h.conj().T
+    assert is_hermitian(symmetric_power(h, n), 1e-12)
+    assert symmetric_power(h.real, n).dtype == np.dtype(float)
+
+
+def test_multiset_table_is_the_symmetric_basis_column_order():
+    for k, n in ((2, 3), (4, 3), (9, 2)):
+        want = list(itertools.combinations_with_replacement(range(k), n))
+        assert [tuple(row) for row in multiset_table(k, n)] == want
+
+
+def test_symmetric_power_rejects_bad_input():
+    with pytest.raises(ValidationError):
+        symmetric_power(np.ones((2, 3)), 2)
+    with pytest.raises(ValidationError):
+        symmetric_power(np.eye(2), 0)
+    with pytest.raises(MemoryCapError, match="symmetric power"):
+        symmetric_power(np.eye(16), 4, memory_cap=1_000_000)
 
 
 def test_trace_product_matches_matmul():
