@@ -33,13 +33,15 @@ import numpy as np
 
 from .errors import InvariantError, MemoryCapError, ValidationError
 from .partitions import Partition, complete_homogeneous, enumerate_partitions, hook_dim, weyl_dim
-from .schurweyl import build_projector_set, projector_set_memory_entries
+from .schurweyl import TRACE_TOL, class_sum_keys
 from .states import StateSpec, analyze, build_state
 from .tensorops import (
     DEFAULT_MEMORY_CAP,
-    _digit_table,
-    _radix_weights,
+    _power_step,
     check_memory_cap,
+    k_cycles,
+    multiset_arrangements,
+    multiset_cycle_images,
     multiset_rank,
     multiset_table,
     symmetric_power,
@@ -103,98 +105,239 @@ def _acceptance_exponent(p: float, n: int) -> float:
     return -math.log(p) / n
 
 
+def _sector_pair_bound(d: int, n: int) -> int:
+    """An upper bound on the same-sector pairs of Sym^n(C^d x C^d), from
+    the letter counts alone: the A weight mu holds T = prod_a f(mu_a) rows,
+    f(m) = C(m + d - 1, d - 1), and a sector of it at most T / max_a f(mu_a)
+    (the other rows of the d x d count table fix the last). Within 1.25x of
+    the count for d = 2 and 2.1x for d = 3 up to n = 7."""
+    total = 0
+    for lam in enumerate_partitions(n, d):
+        parts = lam.parts + (0,) * (d - len(lam.parts))
+        f = [math.comb(m + d - 1, d - 1) for m in parts]
+        arrangements = math.factorial(d)
+        for m in set(parts):
+            arrangements //= math.factorial(parts.count(m))
+        total += arrangements * math.prod(f) ** 2 // max(f)
+    return total
+
+
+# the report's Python objects and the small arrays of the pass, which
+# decide the peak at the smallest sizes (32 KiB)
+_REPORT_ENTRIES = 2048
+
+
 def pass_memory_entries(d: int, n: int) -> int:
     """Complex entries live at the peak of one n-copy pass, the figure the
-    memory cap is checked against: the cached overlap table (d^n x R index
-    and weight) plus the largest stage -- the table's sort, symmetric_power,
-    the projector build next to Y, or the block loop (projector set, Y, one
-    gathered projector and _block_mass's three d^{2n} complex
-    intermediates). Real and int64 entries count half."""
-    table = d**n * math.comb(d * d + n - 1, n)
-    chain = d ** (2 * n)
-    projectors = -(-len(enumerate_partitions(n, d)) * chain // 2)
-    return table + max(
-        -(-n * table // 2),
-        symmetric_power_memory_entries(d * d, n),
-        projector_set_memory_entries(d, n) + table,
-        projectors + table + 3 * chain,
-    )
+    memory cap is checked against: the cached tables (_pass_tables) plus
+    the largest of their build, symmetric_power's Gamma_{n-1}, the gather
+    of Gamma_n's sector-diagonal entries next to Gamma_{n-1}(rho), and the
+    p_lambda product next to Gamma_{n-1}(rho^R). Real and int64 entries
+    count half; the same-sector pairs are bounded by _sector_pair_bound."""
+    k, lams = d * d, len(enumerate_partitions(n, d))
+    rank, prev = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1)
+    pairs = _sector_pair_bound(d, n)
+    tables = pairs * (3 * n + lams + 2) + (rank + 2 * k * prev) * (lams + 1)
+    # multiset_table and _power_step at every level symmetric_power visits
+    for m in range(1, n + 1):
+        tables += math.comb(k + m - 1, m) * (2 * m + 3) + k * math.comb(k + m - 2, m - 1)
+    build = pairs * (2 * n + 1) + max(prev * prev, rank * n)
+    power = symmetric_power_memory_entries(k, n - 1) if n > 1 else 0
+    gather = prev * prev + 3 * pairs * n
+    product = prev * prev + 3 * k * prev * (lams + 1)
+    return -(-tables // 2) + max(build, power, gather, product) + _REPORT_ENTRIES
+
+
+@dataclass(frozen=True)
+class _PassTables:
+    """The state-independent tables of one n-copy pass; see _pass_tables."""
+
+    partitions: tuple[Partition, ...]
+    pairs: np.ndarray  # (2, P): (alpha, beta), every same-sector pair
+    e: np.ndarray  # (L, P): E_lambda[alpha, beta]
+    v: np.ndarray  # (R, L + 1): every v_lambda, then phi
+    diag: np.ndarray  # the pairs (alpha, alpha)
+    gamma_at: np.ndarray  # (P, n): Gamma_n[pair] sums Gamma_{n-1}.flat[gamma_at]
+    op_at: np.ndarray  # (P, n):   times op.flat[op_at]
+    weight: np.ndarray  # (P, n):  times weight
+    lift_v: np.ndarray  # (R_{n-1}, d^2, L + 1): W
+    drop_v: np.ndarray  # (R_{n-1}, d^2, L + 1): Z
+
+
+def _weight_sectors(d: int, n: int) -> list[np.ndarray]:
+    """The weight sectors of Sym^n(C^d x C^d), grouped by size.
+
+    Row alpha of multiset_table(d^2, n) holds sorted modes a d + b, so its
+    A letters are sorted already; it lies in the sector of its A letters and
+    its sorted B letters. Returns, per sector size s, the (#sectors, s)
+    array of member rows, each sector's in increasing order.
+    """
+    reps = multiset_table(d * d, n)
+    key = multiset_rank(d, reps // d) * math.comb(d + n - 1, n)
+    key += multiset_rank(d, np.sort(reps % d, axis=1))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    size = np.diff(first, append=len(key))
+    return [order[first[size == s, None] + np.arange(s)] for s in range(1, size.max() + 1)
+            if (size == s).any()]
+
+
+def _isotypic_sectors(
+    d: int, n: int
+) -> tuple[tuple[Partition, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Every E_lambda = V^T (P_lambda x I) V on the weight sectors.
+
+    E_lambda keeps the A and B weights, so it is block diagonal over the
+    sectors. A = K t_2 + t_3, t_k chain A's k-cycle class sum on Sym^n
+    (multiset_cycle_images), acts on the lambda isotypic component as the
+    integer key of class_sum_keys; one batched eigh per sector size gives
+    every E_lambda as U U^T over the eigenvalues within 0.5 of its key.
+    Returns the Young indices, the pairs (alpha, beta) sector by sector, E
+    on them (L, P), and the diagonal pairs. An eigenvalue off every key, or
+    tr E_lambda != weyl_dim(lambda, d)^2, is an InvariantError.
+    """
+    groups = _weight_sectors(d, n)
+    rank = math.comb(d * d + n - 1, n)
+    start, pos, size = (np.empty(rank, dtype=np.int64) for _ in range(3))
+    alpha, beta = [], []
+    total = 0
+    for rows in groups:
+        count, s = rows.shape
+        start[rows] = total + s * s * np.arange(count)[:, None]
+        pos[rows], size[rows] = np.arange(s), s
+        alpha.append(np.repeat(rows, s, axis=1).ravel())
+        beta.append(np.tile(rows, s).ravel())
+        total += count * s * s
+    pairs = np.stack([np.concatenate(alpha), np.concatenate(beta)])
+
+    # A[beta, alpha] lands in pair start + pos[beta] s + pos[alpha]
+    spread, key = class_sum_keys(d, n)
+    root = np.sqrt(multiset_arrangements(d * d, n))
+    a = np.zeros(total)
+    col = np.arange(rank)[:, None]
+    # the moved letters of one chunk of cycles take no more room than Gamma_{n-1}
+    step = max(1, math.comb(d * d + n - 2, n - 1) ** 2 // (rank * n))
+    for k, scale in ((2, spread), (3, 1)):
+        cycles = k_cycles(n, k)
+        for i in range(0, len(cycles), step):
+            row = multiset_cycle_images(d, n, cycles[i : i + step])
+            if (start[row] != start[col]).any():
+                raise InvariantError(f"a cycle move left its weight sector (d={d}, n={n})")
+            at = start[col] + pos[row] * size[col] + pos[col]
+            a += np.bincount(at.ravel(), (scale * root[col] / root[row]).ravel(), total)
+
+    e = np.empty((len(key), total))
+    placed = total = 0
+    for rows in groups:
+        count, s = rows.shape
+        block = slice(total, total + count * s * s)
+        eigval, u = np.linalg.eigh(a[block].reshape(count, s, s))
+        for i, lam_key in enumerate(key.values()):
+            near = np.abs(eigval - lam_key) < 0.5
+            placed += int(near.sum())
+            e[i, block] = np.matmul(u * near[:, None, :], u.transpose(0, 2, 1)).ravel()
+        total += count * s * s
+    if placed < rank:
+        raise InvariantError(
+            f"{rank - placed} eigenvalues of K t_2 + t_3 lie off every Young key (d={d}, n={n})"
+        )
+    diag = np.flatnonzero(pairs[0] == pairs[1])
+    for lam, tr in zip(key, e[:, diag].sum(axis=1)):
+        if abs(tr - weyl_dim(lam, d) ** 2) > TRACE_TOL:
+            raise InvariantError(
+                f"tr E_{lam} = {float(tr)!r}, expected {weyl_dim(lam, d) ** 2} (d={d}, n={n})"
+            )
+    return tuple(key), pairs, e, diag
 
 
 @lru_cache(maxsize=None)
-def _overlap_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The state-independent tables of every m_lambda; cached read-only.
+def _pass_tables(d: int, n: int) -> _PassTables:
+    """The state-independent tables of the n-copy pass; built on first use,
+    cached read-only.
 
-    Multiset gamma, a column of Gamma, has the chain-major representative
-    (a_gamma, b_gamma) that holds its sorted modes a d + b in copies 1..n.
-    Returns a_gamma; cols[a, gamma], the multiset of (a, b_gamma); and
-    weight = s[cols] / s[gamma], s the entries 1 / sqrt(#arrangements) of
-    the symmetric basis columns.
+    On top of _isotypic_sectors: v_lambda = E_lambda phi, phi = V^T vec(I)
+    holding sqrt(N_gamma) on the multisets of diagonal modes (a, a), and
+    the last step of symmetric_power (see _power_step) cut down to what the
+    pass reads of Gamma_n:
+
+      Gamma_n[alpha, beta] = sum_p Gamma_{n-1}.flat[gamma_at] op.flat[op_at] weight
+
+    over the same-sector pairs, and
+
+      v^T Gamma_n v = sum W o (Gamma_{n-1} Y),  Y[beta', j] = sum_f op[j, f] Z[beta', f],
+      W[alpha', j] = sqrt(alpha'_j + 1) v[alpha' + e_j],
+      Z[beta', f] = v[beta] / sqrt(beta_f),  beta = beta' + e_f, f its smallest mode.
     """
-    reps = multiset_table(d * d, n)
-    modes = _digit_table(d, n)[:, None, :] * d + reps % d
-    modes.sort(axis=2)
-    cols = multiset_rank(d * d, modes)
-    factorial = np.array([math.factorial(i) for i in range(n + 1)], dtype=float)
-    occupation = (reps[:, :, None] == np.arange(d * d)).sum(axis=1)
-    scale = 1.0 / np.sqrt(factorial[n] / factorial[occupation].prod(axis=1))
-    tables = (reps // d @ _radix_weights(d, n), cols, scale[cols] / scale)
-    for t in tables:
-        t.setflags(write=False)
+    k = d * d
+    partitions, pairs, e, diag = _isotypic_sectors(d, n)
+    reps = multiset_table(k, n)
+    phi = np.where((reps // d == reps % d).all(axis=1), np.sqrt(multiset_arrangements(k, n)), 0.0)
+    v = np.stack(
+        [np.bincount(pairs[0], row * phi[pairs[1]], len(phi)) for row in e] + [phi], axis=1
+    )
+    prime, low, col_scale, lift, rows = _power_step(k, n)
+    alpha, beta = pairs
+    drop = rows[alpha]
+    lift_v = np.zeros((lift.size, v.shape[1]))
+    np.add.at(lift_v, rows, lift.ravel()[rows][:, :, None] * v[:, None, :])
+    drop_v = np.zeros_like(lift_v)
+    drop_v[prime * k + low] = col_scale[:, None] * v
+    shape = (len(lift), k, v.shape[1])
+    tables = _PassTables(
+        partitions=partitions,
+        pairs=pairs,
+        e=e,
+        v=v,
+        diag=diag,
+        gamma_at=drop // k * len(lift) + prime[beta, None],
+        op_at=drop % k * k + low[beta, None],
+        weight=lift.ravel()[drop] * col_scale[beta, None],
+        lift_v=lift_v.reshape(shape),
+        drop_v=drop_v.reshape(shape),
+    )
+    for name, value in vars(tables).items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     return tables
 
 
-def _block_mass(rho: np.ndarray, p: np.ndarray, d: int, n: int) -> float:
-    """p_lambda = Tr(rho^{tensor n} (P tensor P))
-    = sum P[a', a] P[b', b] prod_i rho[a_i b_i, a'_i b'_i].
-
-    P is viewed as a tensor with legs (b'_1..b'_n, b_1..b_n). Each step
-    contracts one copy of rho into legs (b'_i, b_i) and leaves (a'_i, a_i)
-    in their place; a Frobenius product with P closes the trace. No
-    intermediate has more than d^{2n} entries.
-    """
-    rho4 = rho.reshape(d, d, d, d)  # [a, b, a', b']
-    t = p.reshape((d,) * (2 * n))
-    for i in range(n):
-        t = np.tensordot(rho4, t, axes=([3, 1], [i, n + i]))
-        t = np.moveaxis(t, (0, 1), (n + i, i))
-    return float(np.einsum("ij,ij->", p, t.reshape(p.shape)).real)
+def _previous_level(op: np.ndarray, n: int) -> np.ndarray:
+    """Gamma_{n-1} = Sym^{n-1}(op), with Gamma_0 = [[1]]; capped by the pass."""
+    return symmetric_power(op, n - 1, None) if n > 1 else np.ones((1, 1))
 
 
 def _n_copy_pass(
     rho: np.ndarray, d: int, n: int, memory_cap: int | None
-) -> tuple[list[BlockStats], float]:
-    """The block statistics and the direct optimal acceptance Tr Re Gamma.
+) -> tuple[list[BlockStats], float, float]:
+    """The block statistics, the direct optimal acceptance Tr Re Gamma and
+    phi^T Gamma^R phi, which must equal (Tr rho)^n.
 
-    m_lambda = Tr(Gamma E_lambda), E_lambda = V^T (P_lambda x I) V real
-    symmetric, so only Re Gamma enters. V^T M is constant over the rows of
-    one multiset when M commutes with every copy permutation, so one
-    representative (a_gamma, b_gamma) per column gives all of E_lambda:
-
-      m_lambda = sum_{a, gamma} P_lambda[a, a_gamma] Y[a, gamma],
-      Y[a, gamma] = weight[a, gamma] Re Gamma[cols[a, gamma], gamma]
-
-    (see _overlap_table). The memory cap is checked once, before any work,
-    against pass_memory_entries.
+    Only Gamma_{n-1} of rho and of rho^R are formed; their last step is
+    taken through the tables of _pass_tables. vals holds Re Gamma_n on the
+    same-sector pairs, so p_opt sums its diagonal pairs and
+    m_lambda = sum E_lambda vals (E_lambda is real symmetric). The memory
+    cap is checked once, before any work, against pass_memory_entries.
     """
     if rho.shape != (d * d, d * d):
         raise ValidationError(f"expected a {d * d} x {d * d} matrix, got {rho.shape}")
     check_memory_cap(pass_memory_entries(d, n), memory_cap, f"{n}-copy pass (d={d})")
-    reps, cols, weight = _overlap_table(d, n)
-    gamma = symmetric_power(rho, n, memory_cap).real
-    opt = float(np.trace(gamma))
-    y = weight * gamma[cols, np.arange(cols.shape[1])]
+    t = _pass_tables(d, n)
+    gamma = _previous_level(rho, n)
+    vals = (gamma.ravel()[t.gamma_at] * rho.ravel()[t.op_at]).real
+    vals = np.einsum("ap,ap->a", vals, t.weight)
     del gamma
-    chain = build_projector_set(d, n, memory_cap)
-
-    out: list[BlockStats] = []
-    for lam in enumerate_partitions(n, d):
-        p = chain.projectors[lam]
-        m_lam = float(np.vdot(p[:, reps], y))
-        p_lam = _block_mass(rho, p, d, n)
+    rho_r = rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    gamma = _previous_level(rho_r, n)
+    y = np.einsum("jf,bfl->bjl", rho_r, t.drop_v)
+    mass = np.einsum("ajl,ajl->l", t.lift_v, (gamma @ y.reshape(len(y), -1)).reshape(y.shape))
+    del gamma
+    m = t.e @ vals
+    out = []
+    for lam, p_lam, m_lam in zip(t.partitions, mass.real.tolist(), m.tolist()):
         fid = m_lam / p_lam if p_lam > ZERO_BLOCK_TOL else None
         out.append(BlockStats(lam, p_lam, m_lam, hook_dim(lam), weyl_dim(lam, d), fid))
-    return out, opt
+    return out, float(vals[t.diag].sum()), float(mass[-1].real)
 
 
 def _check_oracle(direct: float, oracle: float, d: int, n: int) -> None:
@@ -222,7 +365,7 @@ def p_opt(
     of the single-copy spectrum; disagreement is an InvariantError.
     """
     direct = _n_copy_pass(rho, d, n, memory_cap)[1]
-    _check_oracle(direct, complete_homogeneous(n, np.linalg.eigvalsh(rho)), d, n)
+    _check_oracle(direct, float(complete_homogeneous(n, np.linalg.eigvalsh(rho))), d, n)
     return direct
 
 
@@ -250,11 +393,12 @@ def slack_bound(blocks: list[BlockStats]) -> float:
 def run_test(
     rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> TestReport:
-    """Full per-n report, with the three-way optimal-acceptance agreement and
-    the sandwich inequality enforced."""
+    """Full per-n report, with the three-way optimal-acceptance agreement,
+    the realigned identity phi^T Gamma^R phi = (Tr rho)^n and the sandwich
+    inequality enforced."""
     analysis = analyze(rho, d)
-    blocks, opt = _n_copy_pass(rho, d, n, memory_cap)
-    oracle = complete_homogeneous(n, analysis.spectrum)
+    blocks, opt, phi_mass = _n_copy_pass(rho, d, n, memory_cap)
+    oracle = float(complete_homogeneous(n, analysis.spectrum))
     _check_oracle(opt, oracle, d, n)
     sum_m = sum(b.m_lambda for b in blocks)
     if abs(opt - sum_m) > ORACLE_TOL:
@@ -262,23 +406,30 @@ def run_test(
             f"sum of block overlaps {sum_m!r} disagrees with the optimal "
             f"acceptance {opt!r} (n={n}, d={d})"
         )
+    trace_n = float(np.trace(rho).real) ** n
+    if abs(phi_mass - trace_n) > ORACLE_TOL:
+        raise InvariantError(
+            f"realigned mass phi^T Gamma^R phi = {phi_mass!r} disagrees with "
+            f"(Tr rho)^n = {trace_n!r} (n={n}, d={d})"
+        )
     star = p_star(blocks)
     slack = slack_bound(blocks)
     if not (opt - SANDWICH_TOL <= star <= opt + slack + SANDWICH_TOL):
         raise InvariantError(
             f"sandwich violated: p_opt={opt!r}, p_star={star!r}, slack={slack!r}"
         )
-    # pure inputs have p1 = 1 exactly; do not let float eigenvalues leak a
-    # spurious 1e-16 reference exponent
-    minus_log_p1 = 0.0 if analysis.is_pure or analysis.p1 >= 1.0 else -math.log(analysis.p1)
+    # pure inputs accept with probability 1 exactly, in both tests; do not
+    # let float rounding leak a spurious 1e-16 exponent
+    pure = analysis.is_pure
+    minus_log_p1 = 0.0 if pure or analysis.p1 >= 1.0 else -math.log(analysis.p1)
     return TestReport(
         n=n,
         p_opt=opt,
         p_star=star,
         slack=slack,
         oracle_p_opt=oracle,
-        exponent_opt=_acceptance_exponent(opt, n),
-        exponent_star=_acceptance_exponent(star, n),
+        exponent_opt=0.0 if pure else _acceptance_exponent(opt, n),
+        exponent_star=0.0 if pure else _acceptance_exponent(star, n),
         minus_log_p1=minus_log_p1,
         blocks=blocks,
     )

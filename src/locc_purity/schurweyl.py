@@ -107,6 +107,22 @@ def central_characters(lam: Partition) -> tuple[int, int]:
     return omega(2), omega(3)
 
 
+def class_sum_keys(d: int, n: int) -> tuple[int, dict[Partition, int]]:
+    """(K, key): A = K T_2 + T_3, K = 2 max |omega_3| + 1, acts on the
+    lambda block as the integer key[lambda] = K omega_2 + omega_3, for every
+    Young index with at most d rows. Distinct (omega_2, omega_3) give keys at
+    least 1 apart; if two Young indices share a key, InvariantError."""
+    omega = {lam: central_characters(lam) for lam in enumerate_partitions(n, d)}
+    spread = 2 * max(abs(w3) for _, w3 in omega.values()) + 1
+    key = {lam: spread * w2 + w3 for lam, (w2, w3) in omega.items()}
+    if len(set(key.values())) < len(key):
+        raise InvariantError(
+            f"the 2- and 3-cycle central characters do not separate the Young "
+            f"indices (d={d}, n={n})"
+        )
+    return spread, key
+
+
 def projector_set_memory_entries(d: int, n: int) -> int:
     """Complex-entry equivalent of build_projector_set's live set, the figure
     its memory cap is checked against: one real d^n x d^n matrix per Young
@@ -119,23 +135,13 @@ def projector_set_memory_entries(d: int, n: int) -> int:
 def _spectral_projectors(d: int, n: int) -> dict[Partition, np.ndarray]:
     """Every P_lambda on (C^d)^{tensor n} from one eigh.
 
-    The central T_2 and T_3 act on the lambda block as omega_2, omega_3, so
-    A = K T_2 + T_3, K = 2 max |omega_3| + 1, acts as the integer key
-    K omega_2 + omega_3; distinct pairs give keys at least 1 apart (checked
-    up front), and P_lambda = U U^T over the eigenvalues within 0.5 of the
-    key. (n!/d_lambda) P_lambda is the integer matrix sum_sigma
+    A = K T_2 + T_3 acts on the lambda block as an integer key (see
+    class_sum_keys), and P_lambda = U U^T over the eigenvalues within 0.5 of
+    the key. (n!/d_lambda) P_lambda is the integer matrix sum_sigma
     chi_lambda(sigma) U(sigma): rounding to it (at most SNAP_TOL away) and
     scaling by d_lambda/n! gives the exact class sum's every entry.
     """
-    lams = enumerate_partitions(n, d)
-    omega = {lam: central_characters(lam) for lam in lams}
-    spread = 2 * max(abs(w3) for _, w3 in omega.values()) + 1
-    key = {lam: spread * w2 + w3 for lam, (w2, w3) in omega.items()}
-    if len(set(key.values())) < len(key):
-        raise InvariantError(
-            f"the 2- and 3-cycle central characters do not separate the Young "
-            f"indices (d={d}, n={n})"
-        )
+    spread, key = class_sum_keys(d, n)
     a = cycle_class_sum(d, n, 2, None)
     a *= spread
     a += cycle_class_sum(d, n, 3, None)
@@ -143,7 +149,7 @@ def _spectral_projectors(d: int, n: int) -> dict[Partition, np.ndarray]:
     del a
     total = math.factorial(n)
     projs = {}
-    for lam in lams:
+    for lam in key:
         block = u[:, np.abs(eigval - key[lam]) < 0.5]
         d_lam = hook_dim(lam)
         p = block @ block.T

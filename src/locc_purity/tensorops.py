@@ -120,6 +120,13 @@ def perm_operator(
     return op
 
 
+def k_cycles(n: int, k: int) -> np.ndarray:
+    """Every k-cycle of S_n once, as its points in cycle order from the
+    smallest: a (#cycles, k) table, with no rows when k > n."""
+    cycles = [c for c in itertools.permutations(range(n), k) if c[0] == min(c)]
+    return np.array(cycles, dtype=np.int64).reshape(-1, k)
+
+
 def cycle_class_sum(
     local_dim: int, n: int, k: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> np.ndarray:
@@ -137,8 +144,7 @@ def cycle_class_sum(
     check_memory_cap(dim * dim, memory_cap, f"{k}-cycle class sum of dimension {dim}")
     if k > n:
         return np.zeros((dim, dim))
-    # every k-cycle once, as its points in cycle order from the smallest
-    cycles = np.array([c for c in itertools.permutations(range(n), k) if c[0] == min(c)])
+    cycles = k_cycles(n, k)
     weights = _radix_weights(local_dim, n)
     step = weights[cycles[:, (np.arange(k) + 1) % k]] - weights[cycles]
     x = np.arange(dim)[:, None]
@@ -215,6 +221,41 @@ def multiset_rank(k: int, rows: np.ndarray) -> np.ndarray:
     return np.searchsorted(multiset_table(k, rows.shape[-1]) @ weights, rows @ weights)
 
 
+def multiset_arrangements(k: int, m: int) -> np.ndarray:
+    """N = m! / prod_j alpha_j!, the number of arrangements of every row
+    alpha of multiset_table(k, m), as floats: each factorial is exact or
+    correctly rounded, and nothing overflows below m = 171."""
+    factorial = np.array([math.factorial(i) for i in range(m + 1)], dtype=float)
+    occupation = (multiset_table(k, m)[:, :, None] == np.arange(k)).sum(axis=1)
+    return factorial[m] / factorial[occupation].prod(axis=1)
+
+
+def multiset_cycle_images(d: int, n: int, cycles: np.ndarray) -> np.ndarray:
+    """Chain A's cycle moves on Sym^n(C^d x C^d), on multiset rows.
+
+    Row alpha of multiset_table(d^2, n) holds the sorted modes a d + b of
+    its representative. Entry [alpha, c] is the multiset of that
+    representative after cycle c (a row of k_cycles) moves its A letters a
+    and keeps its B letters b. Every arrangement of alpha has the same
+    images, so chain A's k-cycle class sum restricted to Sym^n is
+
+      t_k[beta, alpha] = sqrt(N_alpha / N_beta) #{c : images[alpha, c] = beta},
+
+    N from multiset_arrangements: cycle_class_sum's gather on R = C(d^2+n-1, n)
+    representatives instead of d^n indices. Each entry keeps the sorted A
+    letters and the sorted B letters of alpha.
+    """
+    reps = multiset_table(d * d, n)
+    a = reps // d
+    k = cycles.shape[1]
+    moved = np.repeat(a[:, None, :], len(cycles), axis=1)
+    moved[:, np.arange(len(cycles))[:, None], cycles[:, (np.arange(k) + 1) % k]] = a[:, cycles]
+    moved *= d
+    moved += (reps % d)[:, None, :]
+    moved.sort(axis=2)
+    return multiset_rank(d * d, moved)
+
+
 @lru_cache(maxsize=None)
 def _power_step(k: int, m: int) -> tuple[np.ndarray, ...]:
     """Index tables of symmetric_power's step m on k modes; cached read-only.
@@ -236,11 +277,14 @@ def _power_step(k: int, m: int) -> tuple[np.ndarray, ...]:
 
 def symmetric_power_memory_entries(k: int, n: int) -> int:
     """Complex entries live at the peak of symmetric_power's last step:
-    Gamma_{n-1}, the (R_{n-1}, k, R_n) step table, one row gather and
-    Gamma_n, plus two ufunc buffers of numpy's default 8192 elements, which
-    decide the peak at the smallest sizes."""
+    Gamma_{n-1} and the (R_{n-1}, k, R_n) step table, next to either the
+    column gather, the scaled op columns and the two ufunc buffers (numpy's
+    default 8192 elements, or the whole table when it is smaller) of the
+    step's product, or Gamma_n and one row gather."""
     rank, prev = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1)
-    return prev * prev + k * prev * rank + 2 * rank * rank + 2 * 8192
+    step = k * prev * rank
+    product = prev * rank + k * rank + 2 * min(8192, step)
+    return prev * prev + step + max(product, 2 * rank * rank)
 
 
 def symmetric_power(
@@ -272,6 +316,7 @@ def symmetric_power(
         gamma = step[rows[:, 0]]
         for p in range(1, m):
             gamma += step[rows[:, p]]
+        del step  # not alive next to the next level's step table
     return gamma
 
 

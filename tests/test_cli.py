@@ -20,7 +20,7 @@ I4_SPEC = json.dumps(
 MAX_ENT_SPEC = '{"d": 2, "kind": "pure_schmidt", "schmidt": [0.5, 0.5]}'
 RANDOM_SPEC = '{"d": 2, "kind": "random_mixed", "seed": 404}'
 # a cap between the d=2 pass estimates at n=3 and n=4
-CAP_N4 = "330000"
+CAP_N4 = "75000"
 
 
 def assert_cap_truncates_at_n4():

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from locc_purity import protocol, tensorops
 from locc_purity.errors import InvariantError, MemoryCapError, ValidationError
 from locc_purity.partitions import (
     Partition,
@@ -236,6 +237,20 @@ def test_exponent_series_pure_input_all_zero():
         assert rep.minus_log_p1 == 0.0
 
 
+def test_pure_input_exponents_are_zero_when_acceptance_rounds_below_one():
+    # random_pure seed 3 at d = 2: the pass's p_opt and p_star land a few ulp
+    # under 1, which must not leak a 1e-16 exponent
+    rho = build_state(StateSpec(d=2, kind="random_pure", seed=3))
+    for n in (1, 2, 3, 4):
+        blocks = block_statistics(rho, 2, n)
+        assert p_star(blocks) < 1.0
+        rep = run_test(rho, 2, n)
+        assert rep.p_star < 1.0
+        assert rep.exponent_opt == 0.0
+        assert rep.exponent_star == 0.0
+        assert rep.minus_log_p1 == 0.0
+
+
 def test_exponent_series_maximally_mixed_trend():
     result = exponent_series(MIXED_I4, 5)
     reports = result.reports
@@ -277,7 +292,7 @@ def test_log_p_opt_polynomial_envelope():
 
 
 # a cap between the d=2 pass estimates at n=3 and n=4 (asserted where used)
-CAP_N4 = 330_000
+CAP_N4 = 75_000
 
 
 def test_exponent_series_truncation_marker():
@@ -294,9 +309,10 @@ def test_memory_cap_propagates():
         run_test(rho, 2, 4, memory_cap=CAP_N4)
 
 
-@pytest.mark.parametrize("d,n_max", [(2, 9), (3, 5)])
+@pytest.mark.parametrize("d,n_max", [(2, 16), (3, 6)])
 def test_default_cap_reaches_past_the_doubled_chain(d, n_max):
-    # a (d^2)^n x R working set would exceed the default cap at (2, 9) and (3, 5)
+    # a (d^2)^n x R working set would exceed the default cap at (2, 9) and
+    # (3, 5); the previous pass's chain projectors truncated d = 2 at n = 13
     result = exponent_series(StateSpec(d=d, kind="random_mixed", seed=5), n_max)
     assert result.truncated_at is None
     assert [r.n for r in result.reports] == list(range(1, n_max + 1))
@@ -318,11 +334,63 @@ def test_pass_memory_estimate_bounds_traced_peak(d, n):
     assert peak <= estimate <= 2 * peak
 
 
+@pytest.mark.parametrize("d,n", [(2, 6), (2, 8), (3, 4), (3, 5)])
+def test_pass_memory_estimate_covers_the_table_build(d, n):
+    # the first call of a process also builds the cached tables; its peak,
+    # tables included, must stay under the estimate
+    rho = build_state(StateSpec(d=d, kind="random_mixed", seed=7))
+    run_test(rho, d, 1)
+    protocol._pass_tables.cache_clear()
+    tensorops._power_step.cache_clear()
+    tensorops.multiset_table.cache_clear()
+    tracemalloc.start()
+    try:
+        run_test(rho, d, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * pass_memory_entries(d, n)
+
+
 @pytest.mark.parametrize("entry", [block_statistics, p_opt, run_test])
 def test_wrong_shape_rho_is_a_validation_error(entry):
     # a 9x9 state is not a d=2 bipartite state; it must not reach a reshape
     with pytest.raises(ValidationError, match=r"expected a 4 x 4 matrix, got \(9, 9\)"):
         entry(np.eye(9) / 9, 2, 2)
+
+
+def test_oracle_is_a_plain_float():
+    rep = run_test(build_state(StateSpec(d=2, kind="random_mixed", seed=4)), 2, 3)
+    assert type(rep.oracle_p_opt) is float
+    bogus = np.eye(4, dtype=complex) / 4
+    bogus[1, 0] = 0.2
+    with pytest.raises(InvariantError) as err:
+        p_opt(bogus, 2, 2)
+    assert "np.float64" not in str(err.value)
+
+
+def test_realigned_mass_disagreement_is_loud(monkeypatch):
+    # phi^T Gamma^R phi = (Tr rho)^n checks Gamma_{n-1}(rho^R) and the last
+    # step's contraction by a route that no E_lambda enters: skew only the
+    # realigned power (rho^R of a mixed state is not Hermitian)
+    original = protocol._previous_level
+
+    def skewed(op, n):
+        gamma = original(op, n)
+        return gamma if np.allclose(op, op.conj().T) else 1.001 * gamma
+
+    monkeypatch.setattr(protocol, "_previous_level", skewed)
+    rho = build_state(StateSpec(d=2, kind="random_mixed", seed=6))
+    with pytest.raises(InvariantError, match="realigned"):
+        run_test(rho, 2, 3)
+
+
+def test_realigned_mass_is_the_trace_power():
+    for spec in (MIXED_I4, StateSpec(d=3, kind="random_mixed", seed=8, rank=2)):
+        rho = build_state(spec)
+        for n in (1, 2, 4):
+            _, _, mass = protocol._n_copy_pass(2.5 * rho, spec.d, n, None)
+            assert mass == pytest.approx(2.5**n, rel=1e-13)
 
 
 def test_oracle_disagreement_is_loud():
