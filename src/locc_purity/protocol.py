@@ -9,18 +9,30 @@ its acceptance is a Tsuda-weighted sum over blocks. Per-block quantities:
   p_lambda = Tr(rho^{tensor n} Q_lambda),   Q_lambda = P_lambda^A x P_lambda^B
   m_lambda = Tr(rho^{tensor n} Q_lambda Pi_n Q_lambda)
 
-with the block fidelity m_lambda / p_lambda. On the symmetric subspace
-Schur-Weyl duality pairs the lambda block of chain A with that of chain B,
-so Q_lambda Pi_n Q_lambda = (P_lambda^A x I) Pi_n, and with Pi_n = V V^T
+with the block fidelity m_lambda / p_lambda. All of them live on the
+symmetric subspace Sym^n(C^d x C^d), R = C(d^2+n-1, n), in its multiset
+basis V (Pi_n = V V^T, modes a d + b). There Schur-Weyl duality pairs the
+lambda block of chain A with that of chain B, Q_lambda Pi_n Q_lambda =
+(P_lambda^A x I) Pi_n, and vec(P_lambda) read as n pairs (a', a) is
+symmetric too, so
 
-  p_opt = Tr Gamma,   m_lambda = Tr(Gamma V^T (P_lambda x I) V),
+  p_opt = Tr Gamma,   m_lambda = Tr(Gamma E_lambda),   E_lambda = V^T (P_lambda x I) V,
+  p_lambda = v_lambda^T Gamma^R v_lambda,   v_lambda = V^T vec(P_lambda) = E_lambda phi,
 
-Gamma = V^T rho^{tensor n} V = Sym^n(rho) being R x R, R = C(d^2+n-1, n).
-Three independent routes to the optimal acceptance (Tr Gamma, sum of
-m_lambda, complete homogeneous polynomial of the spectrum) must agree.
-One pass per n (_n_copy_pass) takes them all from rho itself; no array in it
-has (d^2)^n rows. The dense operators in tensorops, states and schurweyl
-remain as test oracles.
+with Gamma = Sym^n(rho), Gamma^R = Sym^n(rho^R) of the realigned state
+rho^R[(a'a), (b'b)] = rho[ab, a'b'] (Chen-Wu) and phi = V^T vec(I).
+E_lambda is the lambda isotypic projector of the Cauchy-Howe decomposition
+Sym^n(A x B) = (+)_lambda S_lambda(A) x S_lambda(B): it keeps the multisets
+of A letters and of B letters, so it is block diagonal over small weight
+sectors, and the pass reads only the sector-diagonal entries of Gamma and
+v_lambda^T Gamma^R v_lambda. Both are one contraction of the last step of
+symmetric_power with Gamma_{n-1}, so one pass per n (_n_copy_pass) forms
+Gamma_{n-1} of rho and of rho^R and nothing of size d^n; its
+state-independent tables (_pass_tables) are built once per (d, n) on first
+use. Three independent routes to the optimal acceptance (Tr Gamma, sum of
+m_lambda, complete homogeneous polynomial of the spectrum) must agree, and
+phi^T Gamma^R phi must equal (Tr rho)^n. The chain projectors and the dense
+operators in tensorops, states and schurweyl remain as test oracles.
 """
 
 from __future__ import annotations
@@ -296,7 +308,7 @@ def _pass_tables(d: int, n: int) -> _PassTables:
         lift_v=lift_v.reshape(shape),
         drop_v=drop_v.reshape(shape),
     )
-    for name, value in vars(tables).items():
+    for value in vars(tables).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     return tables

@@ -2,8 +2,10 @@
 subspace projector.
 
 The chain projectors P_lambda are the spectral projectors of the 2- and
-3-cycle class sums, rounded onto their exact class-sum formula. They are the
-only operators here on the protocol path.
+3-cycle class sums, rounded onto their exact class-sum formula; they are
+test oracles. Only their integer keys (class_sum_keys) are on the protocol
+path, which takes the isotypic projectors on the symmetric subspace
+instead (protocol._pass_tables).
 
 Two index layouts appear on the doubled chain of n copies of a bipartite
 system with local dimension d:

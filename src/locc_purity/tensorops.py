@@ -4,12 +4,14 @@ Index convention: basis states of (C^k)^{tensor n} carry mixed-radix digit
 strings (i_1, ..., i_n), most significant digit first, so the flat basis
 index is sum_m i_m * k^(n-m). Copy permutations act on digit positions.
 
-No code here visits the n! permutations. The k-cycle class sums T_k, from
-which schurweyl takes the isotypic projectors, are one gather over the
-O(n^k) cycles; the symmetrizer and the symmetric basis are filled from the
-sorted digit rows of the basis indices. All of them are real. On the
-protocol path, symmetric_power gives op^{tensor n} on the symmetric subspace
-as an R x R matrix, R = C(k+n-1, n), by a recursion over multiset tables.
+No code here visits the n! permutations. The k-cycle class sums T_k are one
+gather over the O(n^k) cycles; the symmetrizer and the symmetric basis are
+filled from the sorted digit rows of the basis indices. All of them are
+real test oracles. On the protocol path, symmetric_power gives
+op^{tensor n} on the symmetric subspace as an R x R matrix,
+R = C(k+n-1, n), by a recursion over multiset tables, and
+multiset_cycle_images moves chain A's letters of Sym^n(C^d x C^d) along
+the same cycles, on R multiset rows instead of d^n indices.
 
 Every dense allocation is gated by a memory cap (default 2 GiB); exceeding
 it raises MemoryCapError with the computed estimate instead of crashing.
