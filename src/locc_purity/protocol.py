@@ -139,6 +139,7 @@ def _sector_pair_bound(d: int, n: int) -> int:
 _REPORT_ENTRIES = 2048
 
 
+@lru_cache(maxsize=None)
 def pass_memory_entries(d: int, n: int) -> int:
     """Complex entries live at the peak of one n-copy pass, the figure the
     memory cap is checked against: the cached tables (_pass_tables) plus
@@ -165,6 +166,8 @@ class _PassTables:
     """The state-independent tables of one n-copy pass; see _pass_tables."""
 
     partitions: tuple[Partition, ...]
+    d_lambda: tuple[int, ...]  # hook_dim of each
+    dim_u: tuple[int, ...]  # weyl_dim of each
     pairs: np.ndarray  # (2, P): (alpha, beta), every same-sector pair
     e: np.ndarray  # (L, P): E_lambda[alpha, beta]
     v: np.ndarray  # (R, L + 1): every v_lambda, then phi
@@ -298,6 +301,8 @@ def _pass_tables(d: int, n: int) -> _PassTables:
     shape = (len(lift), k, v.shape[1])
     tables = _PassTables(
         partitions=partitions,
+        d_lambda=tuple(hook_dim(lam) for lam in partitions),
+        dim_u=tuple(weyl_dim(lam, d) for lam in partitions),
         pairs=pairs,
         e=e,
         v=v,
@@ -346,9 +351,11 @@ def _n_copy_pass(
     del gamma
     m = t.e @ vals
     out = []
-    for lam, p_lam, m_lam in zip(t.partitions, mass.real.tolist(), m.tolist()):
+    for lam, d_lam, dim_u, p_lam, m_lam in zip(
+        t.partitions, t.d_lambda, t.dim_u, mass.real.tolist(), m.tolist()
+    ):
         fid = m_lam / p_lam if p_lam > ZERO_BLOCK_TOL else None
-        out.append(BlockStats(lam, p_lam, m_lam, hook_dim(lam), weyl_dim(lam, d), fid))
+        out.append(BlockStats(lam, p_lam, m_lam, d_lam, dim_u, fid))
     return out, float(vals[t.diag].sum()), float(mass[-1].real)
 
 

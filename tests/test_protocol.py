@@ -309,10 +309,10 @@ def test_memory_cap_propagates():
         run_test(rho, 2, 4, memory_cap=CAP_N4)
 
 
-@pytest.mark.parametrize("d,n_max", [(2, 16), (3, 6)])
+@pytest.mark.parametrize("d,n_max", [(2, 9), (3, 5), (2, 16), (3, 6)])
 def test_default_cap_reaches_past_the_doubled_chain(d, n_max):
     # a (d^2)^n x R working set would exceed the default cap at (2, 9) and
-    # (3, 5); the previous pass's chain projectors truncated d = 2 at n = 13
+    # (3, 5), and d^n x d^n chain projectors would truncate d = 2 at n = 13
     result = exponent_series(StateSpec(d=d, kind="random_mixed", seed=5), n_max)
     assert result.truncated_at is None
     assert [r.n for r in result.reports] == list(range(1, n_max + 1))

@@ -163,12 +163,12 @@ def test_import_builds_no_table():
         "import locc_purity\n"
         "from locc_purity import protocol, states, tensorops\n"
         "states.spec_from_json('{\"d\": 2, \"kind\": \"random_mixed\", \"seed\": 1}')\n"
-        "caches = [protocol._pass_tables, tensorops._power_step, tensorops.multiset_table,\n"
-        "          tensorops._digit_table, tensorops._radix_weights]\n"
+        "caches = [protocol._pass_tables, protocol.pass_memory_entries, tensorops._power_step,\n"
+        "          tensorops.multiset_table, tensorops._digit_table, tensorops._radix_weights]\n"
         "print([c.cache_info().currsize for c in caches])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.split() == ["[0,", "0,", "0,", "0,", "0]"]
+    assert out.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0]"]
 
