@@ -242,8 +242,6 @@ def test_pure_input_exponents_are_zero_when_acceptance_rounds_below_one():
     # under 1, which must not leak a 1e-16 exponent
     rho = build_state(StateSpec(d=2, kind="random_pure", seed=3))
     for n in (1, 2, 3, 4):
-        blocks = block_statistics(rho, 2, n)
-        assert p_star(blocks) < 1.0
         rep = run_test(rho, 2, n)
         assert rep.p_star < 1.0
         assert rep.exponent_opt == 0.0
