@@ -149,14 +149,14 @@ def pass_memory_entries(d: int, n: int) -> int:
     count half; the same-sector pairs are bounded by _sector_pair_bound."""
     k, lams = d * d, len(enumerate_partitions(n, d))
     rank, prev = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1)
-    pairs = _sector_pair_bound(d, n)
-    tables = pairs * (3 * n + lams + 2) + (rank + 2 * k * prev) * (lams + 1)
+    pairs, slots = _sector_pair_bound(d, n), min(n, k)
+    tables = pairs * (3 * slots + lams + 2) + (rank + 2 * k * prev) * (lams + 1)
     # multiset_table and _power_step at every level symmetric_power visits
     for m in range(1, n + 1):
-        tables += math.comb(k + m - 1, m) * (2 * m + 3) + k * math.comb(k + m - 2, m - 1)
-    build = pairs * (2 * n + 1) + max(prev * prev, rank * n)
+        tables += math.comb(k + m - 1, m) * (m + min(m, k) + 2) + k * math.comb(k + m - 2, m - 1)
+    build = pairs * (2 * slots + 1) + max(prev * prev, rank * n)
     power = symmetric_power_memory_entries(k, n - 1) if n > 1 else 0
-    gather = prev * prev + 3 * pairs * n
+    gather = prev * prev + 2 * pairs * slots
     product = prev * prev + 3 * k * prev * (lams + 1)
     return -(-tables // 2) + max(build, power, gather, product) + _REPORT_ENTRIES
 
@@ -172,11 +172,12 @@ class _PassTables:
     e: np.ndarray  # (L, P): E_lambda[alpha, beta]
     v: np.ndarray  # (R, L + 1): every v_lambda, then phi
     diag: np.ndarray  # the pairs (alpha, alpha)
-    gamma_at: np.ndarray  # (P, n): Gamma_n[pair] sums Gamma_{n-1}.flat[gamma_at]
-    op_at: np.ndarray  # (P, n):   times op.flat[op_at]
-    weight: np.ndarray  # (P, n):  times weight
-    lift_v: np.ndarray  # (R_{n-1}, d^2, L + 1): W
-    drop_v: np.ndarray  # (R_{n-1}, d^2, L + 1): Z
+    # s = min(n, d^2) slots, one per distinct letter; the unused ones weigh 0
+    gamma_at: np.ndarray  # (P, s): Gamma_n[pair] sums Gamma_{n-1}.flat[gamma_at]
+    op_at: np.ndarray  # (P, s):   times op.flat[op_at]
+    weight: np.ndarray  # (P, s):  times weight
+    lift_v: np.ndarray  # (d^2, R_{n-1}, L + 1): W
+    drop_v: np.ndarray  # (d^2, R_{n-1} (L + 1)): Z
 
 
 def _weight_sectors(d: int, n: int) -> list[np.ndarray]:
@@ -278,11 +279,14 @@ def _pass_tables(d: int, n: int) -> _PassTables:
 
       Gamma_n[alpha, beta] = sum_p Gamma_{n-1}.flat[gamma_at] op.flat[op_at] weight
 
-    over the same-sector pairs, and
+    over the same-sector pairs, p running over the distinct letters of
+    alpha, and
 
-      v^T Gamma_n v = sum W o (Gamma_{n-1} Y),  Y[beta', j] = sum_f op[j, f] Z[beta', f],
-      W[alpha', j] = sqrt(alpha'_j + 1) v[alpha' + e_j],
-      Z[beta', f] = v[beta] / sqrt(beta_f),  beta = beta' + e_f, f its smallest mode.
+      v^T Gamma_n v = sum W o Re(Gamma_{n-1} Y_j),  Y = op Z,
+      W[j, alpha'] = sqrt(alpha'_j + 1) v[alpha' + e_j],
+      Z[f, beta'] = v[beta] / sqrt(beta_f),  beta = beta' + e_f, f its smallest mode:
+
+    letter first, so that Y and every Gamma_{n-1} Y_j are matrix products.
     """
     k = d * d
     partitions, pairs, e, diag = _isotypic_sectors(d, n)
@@ -294,11 +298,12 @@ def _pass_tables(d: int, n: int) -> _PassTables:
     prime, low, col_scale, lift, rows = _power_step(k, n)
     alpha, beta = pairs
     drop = rows[alpha]
-    lift_v = np.zeros((lift.size, v.shape[1]))
-    np.add.at(lift_v, rows, lift.ravel()[rows][:, :, None] * v[:, None, :])
+    live = np.nonzero(rows < lift.size)
+    gathered = rows[live]  # every step row (alpha', j) once, from alpha = live[0]
+    lift_v = np.zeros((k, len(lift), v.shape[1]))
+    lift_v[gathered % k, gathered // k] = lift.ravel()[gathered, None] * v[live[0]]
     drop_v = np.zeros_like(lift_v)
-    drop_v[prime * k + low] = col_scale[:, None] * v
-    shape = (len(lift), k, v.shape[1])
+    drop_v[low, prime] = col_scale[:, None] * v
     tables = _PassTables(
         partitions=partitions,
         d_lambda=tuple(hook_dim(lam) for lam in partitions),
@@ -307,11 +312,12 @@ def _pass_tables(d: int, n: int) -> _PassTables:
         e=e,
         v=v,
         diag=diag,
-        gamma_at=drop // k * len(lift) + prime[beta, None],
+        # the sentinel slots weigh 0; any entry of Gamma_{n-1} will do
+        gamma_at=np.minimum(drop // k * len(lift) + prime[beta, None], len(lift) ** 2 - 1),
         op_at=drop % k * k + low[beta, None],
-        weight=lift.ravel()[drop] * col_scale[beta, None],
-        lift_v=lift_v.reshape(shape),
-        drop_v=drop_v.reshape(shape),
+        weight=np.append(lift.ravel(), 0.0)[drop] * col_scale[beta, None],
+        lift_v=lift_v,
+        drop_v=drop_v.reshape(k, -1),
     )
     for value in vars(tables).values():
         if isinstance(value, np.ndarray):
@@ -346,17 +352,17 @@ def _n_copy_pass(
     del gamma
     rho_r = rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
     gamma = _previous_level(rho_r, n)
-    y = np.einsum("jf,bfl->bjl", rho_r, t.drop_v)
-    mass = np.einsum("ajl,ajl->l", t.lift_v, (gamma @ y.reshape(len(y), -1)).reshape(y.shape))
+    y = (rho_r @ t.drop_v).reshape(t.lift_v.shape)
+    mass = np.einsum("jal,jal->l", t.lift_v, (gamma @ y).real)
     del gamma
     m = t.e @ vals
     out = []
     for lam, d_lam, dim_u, p_lam, m_lam in zip(
-        t.partitions, t.d_lambda, t.dim_u, mass.real.tolist(), m.tolist()
+        t.partitions, t.d_lambda, t.dim_u, mass.tolist(), m.tolist()
     ):
         fid = m_lam / p_lam if p_lam > ZERO_BLOCK_TOL else None
         out.append(BlockStats(lam, p_lam, m_lam, d_lam, dim_u, fid))
-    return out, float(vals[t.diag].sum()), float(mass[-1].real)
+    return out, float(vals[t.diag].sum()), float(mass[-1])
 
 
 def _check_oracle(direct: float, oracle: float, d: int, n: int) -> None:

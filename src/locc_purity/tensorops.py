@@ -9,7 +9,8 @@ gather over the O(n^k) cycles; the symmetrizer and the symmetric basis are
 filled from the sorted digit rows of the basis indices. All of them are
 real test oracles. On the protocol path, symmetric_power gives
 op^{tensor n} on the symmetric subspace as an R x R matrix,
-R = C(k+n-1, n), by a recursion over multiset tables, and
+R = C(k+n-1, n), by a recursion over multiset tables that gathers one
+row per distinct letter, at most k per level, and
 multiset_cycle_images moves chain A's letters of Sym^n(C^d x C^d) along
 the same cycles, on R multiset rows instead of d^n indices.
 
@@ -263,30 +264,41 @@ def _power_step(k: int, m: int) -> tuple[np.ndarray, ...]:
     """Index tables of symmetric_power's step m on k modes; cached read-only.
 
     Column beta is a^dagger_f |beta'> / sqrt(beta_f), f its smallest mode.
-    Row alpha sums the step table's rows (alpha - e_j, j) over the m entries
-    j of its multiset: mode j comes alpha_j times, so each row carries
-    sqrt(alpha_j) / alpha_j = 1 / sqrt((alpha - e_j)_j + 1), its lift.
+    Row alpha sums the step table's rows (alpha - e_j, j) over the distinct
+    letters j of its multiset, smallest first, each with its lift
+    sqrt(alpha_j) = sqrt((alpha - e_j)_j + 1). Every step row (alpha', j)
+    is the row of exactly one alpha = alpha' + e_j, so the rows are ranked
+    from the step rows up. A multiset has at most min(m, k) distinct
+    letters; the slots left over hold the sentinel k R_{m-1}, one zero row
+    appended to the step table.
     """
     prev, cur = multiset_table(k, m - 1), multiset_table(k, m)
-    drop = np.stack([multiset_rank(k, np.delete(cur, p, axis=1)) for p in range(m)], axis=1)
-    lift = 1.0 / np.sqrt(1 + (prev[:, :, None] == np.arange(k)).sum(axis=1))
+    letter = np.tile(np.arange(k), len(prev))
+    grown = np.concatenate([np.repeat(prev, k, axis=0), letter[:, None]], axis=1)
+    grown.sort(axis=1)
+    up = multiset_rank(k, grown)  # the alpha of each step row (alpha', j)
+    order = np.argsort(up * k + letter)  # by alpha, then by letter
+    alpha = up[order]
+    rows = np.full((len(cur), min(m, k)), len(prev) * k)
+    rows[alpha, np.arange(len(alpha)) - np.searchsorted(alpha, alpha)] = order
+    lift = np.sqrt(1 + (prev[:, :, None] == np.arange(k)).sum(axis=1))
     col_scale = 1.0 / np.sqrt((cur == cur[:, :1]).sum(axis=1))
-    tables = (drop[:, 0], cur[:, 0], col_scale, lift, drop * k + cur)
+    tables = (rows[:, 0] // k, cur[:, 0], col_scale, lift, rows)
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
 def symmetric_power_memory_entries(k: int, n: int) -> int:
-    """Complex entries live at the peak of symmetric_power's last step:
-    Gamma_{n-1} and the (R_{n-1}, k, R_n) step table, next to either the
-    column gather, the scaled op columns and the two ufunc buffers (numpy's
-    default 8192 elements, or the whole table when it is smaller) of the
-    step's product, or Gamma_n and one row gather."""
+    """Complex entries live at the peak of symmetric_power's last step: the
+    (k R_{n-1} + 1, R_n) step table, next to either Gamma_{n-1}, the column
+    gather, the scaled op columns and the two ufunc buffers (numpy's default
+    8192 elements, or the whole table when it is smaller) of the step's
+    product, or Gamma_n and one row gather."""
     rank, prev = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1)
-    step = k * prev * rank
-    product = prev * rank + k * rank + 2 * min(8192, step)
-    return prev * prev + step + max(product, 2 * rank * rank)
+    step = (k * prev + 1) * rank
+    product = prev * prev + prev * rank + k * rank + 2 * min(8192, step)
+    return step + max(product, 2 * rank * rank)
 
 
 def symmetric_power(
@@ -301,24 +313,28 @@ def symmetric_power(
       Gamma_m[alpha, beta] =
           sum_j sqrt(alpha_j) op[j, f] Gamma_{m-1}[alpha - e_j, beta'] / sqrt(beta_f):
 
-    per level one column gather and product form the step table, and m row
-    gathers sum it (see _power_step).
+    per level one column gather and product form the step table, and
+    min(m, k) row gathers sum it, one per distinct letter (see _power_step).
     """
     if op.ndim != 2 or op.shape[0] != op.shape[1] or n < 1:
         raise ValidationError(f"need a square matrix and n >= 1, got {op.shape}, {n}")
     k = op.shape[0]
-    what = f"symmetric power (k={k}, n={n})"
-    check_memory_cap(symmetric_power_memory_entries(k, n), memory_cap, what)
+    if memory_cap is not None:
+        what = f"symmetric power (k={k}, n={n})"
+        check_memory_cap(symmetric_power_memory_entries(k, n), memory_cap, what)
     gamma = np.array(op, dtype=np.result_type(op, float))
     for m in range(2, n + 1):
         prime, low, col_scale, lift, rows = _power_step(k, m)
-        step = gamma[:, None, prime] * (op[:, low] * col_scale)
-        step *= lift[:, :, None]
-        step = step.reshape(-1, len(low))
+        step = np.empty((lift.size + 1, len(low)), dtype=gamma.dtype)
+        step[-1] = 0.0  # the sentinel row
+        table = step[:-1].reshape(lift.shape + (len(low),))
+        np.multiply(gamma[:, None, prime], op[:, low] * col_scale, out=table)
+        del gamma  # not alive next to the row gathers
+        table *= lift[:, :, None]
         gamma = step[rows[:, 0]]
-        for p in range(1, m):
+        for p in range(1, rows.shape[1]):
             gamma += step[rows[:, p]]
-        del step  # not alive next to the next level's step table
+        del step, table  # not alive next to the next level's step table
     return gamma
 
 

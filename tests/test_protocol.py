@@ -289,6 +289,62 @@ def test_log_p_opt_polynomial_envelope():
             assert lo - 1e-9 <= math.log(p_opt(rho, 2, n)) <= hi + 1e-9
 
 
+# p_lambda and m_lambda of random_mixed seed 7, recorded from the recursion
+# that summed m row gathers per level, before it gathered one row per
+# distinct letter
+PINNED_BLOCKS = {
+    (2, 10): [
+        ((10,), 0.030332336537767086, 0.030332336537767093),
+        ((9, 1), 0.10935979040665335, 0.008221318114654536),
+        ((8, 2), 0.09948173257262515, 0.0017183502545075177),
+        ((7, 3), 0.0307312330713596, 0.00029542123319824633),
+        ((6, 4), 0.002650725802120768, 3.961980191737681e-05),
+        ((5, 5), 1.5655357384524133e-05, 2.280296427616528e-06),
+    ],
+    (2, 16): [
+        ((16,), 0.002843884280109172, 0.0028438842801091673),
+        ((15, 1), 0.025472482767695124, 0.001109361774822059),
+        ((14, 2), 0.06253990564499716, 0.0003135737698353461),
+        ((13, 3), 0.06650335916301035, 7.400555007882228e-05),
+        ((12, 4), 0.03528826561085055, 1.5287407731471034e-05),
+        ((11, 5), 0.00947920574164432, 2.799272451695604e-06),
+        ((10, 6), 0.0011660302284155646, 4.4704016541811587e-07),
+        ((9, 7), 4.821125985595795e-05, 5.727601207792289e-08),
+        ((8, 8), 1.7681521914095087e-07, 3.206054434357354e-09),
+    ],
+    (3, 5): [
+        ((5,), 0.01966125315083499, 0.019661253150834987),
+        ((4, 1), 0.18362770032670922, 0.020686834978996073),
+        ((3, 2), 0.07711170786425016, 0.006873912767063775),
+        ((3, 1, 1), 0.016431427523133785, 0.0009470039370439531),
+        ((2, 2, 1), 0.002466010341233668, 0.0002056864029765061),
+    ],
+}
+
+
+@pytest.mark.parametrize("d,n", sorted(PINNED_BLOCKS))
+def test_block_values_are_pinned(d, n):
+    # sum m_lambda = p_opt holds whatever Gamma holds, and the h_n and
+    # realigned checks see only traces: these values see every block. The
+    # smallest blocks are far below the unit mass the contraction sums; in
+    # float64 they round to about 1e-11 relative (about 5e-12 at (2, 16),
+    # (8, 8) against a long double evaluation of the same tables), which
+    # the absolute 1e-16, below one ulp of 1, covers.
+    rep = run_test(build_state(StateSpec(d=d, kind="random_mixed", seed=7)), d, n)
+    want = PINNED_BLOCKS[(d, n)]
+    assert [b.partition.parts for b in rep.blocks] == [parts for parts, _, _ in want]
+    got = [(b.p_lambda, b.m_lambda) for b in rep.blocks]
+    np.testing.assert_allclose(got, [w[1:] for w in want], rtol=1e-12, atol=1e-16)
+
+
+def test_run_test_at_the_frontier():
+    # run_test raises if any of its invariants fails; this runs them all at
+    # the largest d = 2 size the tier-1 suite affords, under the default cap
+    rep = run_test(build_state(StateSpec(d=2, kind="random_mixed", seed=7)), 2, 20)
+    assert [b.partition for b in rep.blocks] == enumerate_partitions(20, 2)
+    assert rep.p_opt > 0
+
+
 # a cap between the d=2 pass estimates at n=3 and n=4 (asserted where used)
 CAP_N4 = 75_000
 
@@ -316,7 +372,9 @@ def test_default_cap_reaches_past_the_doubled_chain(d, n_max):
     assert [r.n for r in result.reports] == list(range(1, n_max + 1))
 
 
-@pytest.mark.parametrize("d,n", [(2, 5), (2, 6), (2, 7), (2, 8), (3, 3), (3, 4), (3, 5)])
+@pytest.mark.parametrize(
+    "d,n", [(2, 5), (2, 6), (2, 7), (2, 8), (2, 12), (2, 16), (3, 3), (3, 4), (3, 5)]
+)
 def test_pass_memory_estimate_bounds_traced_peak(d, n):
     # the up-front estimate must cover the pass's real peak, and not by
     # more than a factor 2; the first call warms the index caches

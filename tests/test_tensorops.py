@@ -6,6 +6,7 @@ import pytest
 
 from locc_purity.errors import MemoryCapError, ValidationError
 from locc_purity.tensorops import (
+    _power_step,
     cycle_class_sum,
     frobenius,
     is_hermitian,
@@ -187,6 +188,43 @@ def test_symmetric_power_is_symmetric_basis_sandwich(d, n):
         got = symmetric_power(op, n)
         assert got.shape == (math.comb(d * d + n - 1, n),) * 2
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("k,n", [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)])
+def test_symmetric_power_past_k_copies_is_the_sandwich(k, n):
+    # with n > k every multiset repeats a letter, so its row leaves slots to
+    # the sentinel; a general complex op has no symmetry to hide a wrong lift
+    op = random_complex(k, np.random.default_rng(100 * k + n))
+    v = symmetric_basis(k, n)
+    want = v.T @ tensor_power(op, n) @ v
+    got = symmetric_power(op, n)
+    assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("k,m", [(1, 3), (2, 1), (2, 2), (2, 6), (3, 4), (4, 3), (4, 7), (9, 3)])
+def test_power_step_gathers_each_distinct_letter_once(k, m):
+    # row alpha lists (alpha - e_j, j) once per distinct letter j of alpha,
+    # smallest first; its other slots hold the sentinel k R_{m-1}, the zero
+    # row appended to the step table; the lift of (alpha', j) is
+    # sqrt(alpha'_j + 1)
+    prime, low, col_scale, lift, rows = _power_step(k, m)
+    prev, cur = multiset_table(k, m - 1), multiset_table(k, m)
+    sentinel = k * len(prev)
+    assert rows.shape == (len(cur), min(m, k))
+    assert lift.shape == (len(prev), k)
+    for alpha, row, beta_prime, f, scale in zip(cur, rows, prime, low, col_scale):
+        letters = sorted(set(alpha.tolist()))
+        live = row[: len(letters)]
+        assert (row[len(letters):] == sentinel).all()
+        assert (live % k).tolist() == letters
+        for r in live.tolist():
+            dropped, j = prev[r // k].tolist(), r % k
+            assert sorted(dropped + [j]) == alpha.tolist()
+            assert lift[r // k, j] == math.sqrt(dropped.count(j) + 1)
+        assert f == alpha[0] and prev[beta_prime].tolist() == alpha[1:].tolist()
+        assert scale == 1 / math.sqrt(alpha.tolist().count(f))
+    # every row of the step table is gathered by exactly one multiset
+    assert np.array_equal(np.sort(rows[rows != sentinel]), np.arange(sentinel))
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 3), (5, 2)])
