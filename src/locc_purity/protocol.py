@@ -51,9 +51,9 @@ from .tensorops import (
     DEFAULT_MEMORY_CAP,
     _power_step,
     check_memory_cap,
-    k_cycles,
+    cycle_moves_memory_entries,
     multiset_arrangements,
-    multiset_cycle_images,
+    multiset_cycle_moves,
     multiset_rank,
     multiset_table,
     symmetric_power,
@@ -146,15 +146,18 @@ def pass_memory_entries(d: int, n: int) -> int:
     the largest of their build, symmetric_power's Gamma_{n-1}, the gather
     of Gamma_n's sector-diagonal entries next to Gamma_{n-1}(rho), and the
     p_lambda product next to Gamma_{n-1}(rho^R). Real and int64 entries
-    count half; the same-sector pairs are bounded by _sector_pair_bound."""
+    count half; the same-sector pairs are bounded by _sector_pair_bound. The
+    build holds K t_2 + t_3 next to the mode moves, the eigenvectors of one
+    sector size or the index tables of the last step."""
     k, lams = d * d, len(enumerate_partitions(n, d))
     rank, prev = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1)
     pairs, slots = _sector_pair_bound(d, n), min(n, k)
     tables = pairs * (3 * slots + lams + 2) + (rank + 2 * k * prev) * (lams + 1)
-    # multiset_table and _power_step at every level symmetric_power visits
+    # multiset_table, its codes and _power_step at every level symmetric_power visits
     for m in range(1, n + 1):
-        tables += math.comb(k + m - 1, m) * (m + min(m, k) + 2) + k * math.comb(k + m - 2, m - 1)
-    build = pairs * (2 * slots + 1) + max(prev * prev, rank * n)
+        tables += math.comb(k + m - 1, m) * (m + min(m, k) + 3) + k * math.comb(k + m - 2, m - 1)
+    moves = cycle_moves_memory_entries(d, n)
+    build = pairs + max(2 * slots * pairs, moves, (lams + 2) * pairs // 2)
     power = symmetric_power_memory_entries(k, n - 1) if n > 1 else 0
     gather = prev * prev + 2 * pairs * slots
     product = prev * prev + 3 * k * prev * (lams + 1)
@@ -193,73 +196,73 @@ def _weight_sectors(d: int, n: int) -> list[np.ndarray]:
     key += multiset_rank(d, np.sort(reps % d, axis=1))
     order = np.argsort(key, kind="stable")
     key = key[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    size = np.diff(first, append=len(key))
-    return [order[first[size == s, None] + np.arange(s)] for s in range(1, size.max() + 1)
-            if (size == s).any()]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
+    size = first[1:] - first[:-1]
+    by_size = np.argsort(size, kind="stable")
+    first, size = first[by_size], size[by_size]
+    cut = np.flatnonzero(np.concatenate(([True], size[1:] != size[:-1], [True])))
+    return [order[first[i:j, None] + np.arange(size[i])] for i, j in zip(cut[:-1], cut[1:])]
 
 
 def _isotypic_sectors(
-    d: int, n: int
+    d: int, n: int, root: np.ndarray
 ) -> tuple[tuple[Partition, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Every E_lambda = V^T (P_lambda x I) V on the weight sectors.
 
     E_lambda keeps the A and B weights, so it is block diagonal over the
     sectors. A = K t_2 + t_3, t_k chain A's k-cycle class sum on Sym^n
-    (multiset_cycle_images), acts on the lambda isotypic component as the
-    integer key of class_sum_keys; one batched eigh per sector size gives
-    every E_lambda as U U^T over the eigenvalues within 0.5 of its key.
-    Returns the Young indices, the pairs (alpha, beta) sector by sector, E
-    on them (L, P), and the diagonal pairs. An eigenvalue off every key, or
-    tr E_lambda != weyl_dim(lambda, d)^2, is an InvariantError.
+    (multiset_cycle_moves, root = sqrt(N)), acts on the lambda isotypic
+    component as the integer key of class_sum_keys; one batched eigh per
+    sector size labels every eigenvector with the key within 0.5 of its
+    eigenvalue, and one contraction gives every E_lambda = U U^T over its
+    label. Returns the Young indices, the pairs (alpha, beta) sector by
+    sector, E on them (L, P), and the diagonal pairs. A move out of its
+    sector, an eigenvalue off every key, or tr E_lambda !=
+    weyl_dim(lambda, d)^2 is an InvariantError.
     """
     groups = _weight_sectors(d, n)
-    rank = math.comb(d * d + n - 1, n)
+    rank = len(root)
     start, pos, size = (np.empty(rank, dtype=np.int64) for _ in range(3))
     alpha, beta = [], []
     total = 0
     for rows in groups:
         count, s = rows.shape
-        start[rows] = total + s * s * np.arange(count)[:, None]
+        start[rows] = np.arange(total, total + count * s * s, s * s)[:, None]
         pos[rows], size[rows] = np.arange(s), s
-        alpha.append(np.repeat(rows, s, axis=1).ravel())
-        beta.append(np.tile(rows, s).ravel())
+        alpha.append(np.repeat(rows, s))
+        beta.append(np.repeat(rows[:, None, :], s, axis=1).ravel())
         total += count * s * s
     pairs = np.stack([np.concatenate(alpha), np.concatenate(beta)])
 
     # A[beta, alpha] lands in pair start + pos[beta] s + pos[alpha]
     spread, key = class_sum_keys(d, n)
-    root = np.sqrt(multiset_arrangements(d * d, n))
-    a = np.zeros(total)
-    col = np.arange(rank)[:, None]
-    # the moved letters of one chunk of cycles take no more room than Gamma_{n-1}
-    step = max(1, math.comb(d * d + n - 2, n - 1) ** 2 // (rank * n))
-    for k, scale in ((2, spread), (3, 1)):
-        cycles = k_cycles(n, k)
-        for i in range(0, len(cycles), step):
-            row = multiset_cycle_images(d, n, cycles[i : i + step])
-            if (start[row] != start[col]).any():
-                raise InvariantError(f"a cycle move left its weight sector (d={d}, n={n})")
-            at = start[col] + pos[row] * size[col] + pos[col]
-            a += np.bincount(at.ravel(), (scale * root[col] / root[row]).ravel(), total)
+    col, row, weight = multiset_cycle_moves(d, n, {2: spread, 3: 1})
+    if (start[row] != start[col]).any():
+        raise InvariantError(f"a cycle move left its weight sector (d={d}, n={n})")
+    at = start[col] + pos[row] * size[col] + pos[col]
+    a = np.bincount(at, weight * root[col] / root[row], total)
+    del col, row, weight, at  # not alive next to eigh
 
-    e = np.empty((len(key), total))
-    placed = total = 0
+    keys = np.array(list(key.values()))[:, None, None]
+    e = np.empty((len(keys), total))
+    total = 0
     for rows in groups:
         count, s = rows.shape
         block = slice(total, total + count * s * s)
         eigval, u = np.linalg.eigh(a[block].reshape(count, s, s))
-        for i, lam_key in enumerate(key.values()):
-            near = np.abs(eigval - lam_key) < 0.5
-            placed += int(near.sum())
-            e[i, block] = np.matmul(u * near[:, None, :], u.transpose(0, 2, 1)).ravel()
+        label = np.abs(eigval - keys) < 0.5  # (L, count, s)
+        out = e[:, block].reshape(len(keys), count, s, s)
+        np.matmul(u * label[:, :, None, :], u.transpose(0, 2, 1), out=out)
         total += count * s * s
+    diag = np.flatnonzero(pairs[0] == pairs[1])
+    traces = e[:, diag].sum(axis=1)
+    # every labelled eigenvector adds 1 to the trace of its E_lambda
+    placed = round(float(traces.sum()))
     if placed < rank:
         raise InvariantError(
             f"{rank - placed} eigenvalues of K t_2 + t_3 lie off every Young key (d={d}, n={n})"
         )
-    diag = np.flatnonzero(pairs[0] == pairs[1])
-    for lam, tr in zip(key, e[:, diag].sum(axis=1)):
+    for lam, tr in zip(key, traces):
         if abs(tr - weyl_dim(lam, d) ** 2) > TRACE_TOL:
             raise InvariantError(
                 f"tr E_{lam} = {float(tr)!r}, expected {weyl_dim(lam, d) ** 2} (d={d}, n={n})"
@@ -289,9 +292,11 @@ def _pass_tables(d: int, n: int) -> _PassTables:
     letter first, so that Y and every Gamma_{n-1} Y_j are matrix products.
     """
     k = d * d
-    partitions, pairs, e, diag = _isotypic_sectors(d, n)
+    root = np.sqrt(multiset_arrangements(k, n))
+    partitions, pairs, e, diag = _isotypic_sectors(d, n, root)
     reps = multiset_table(k, n)
-    phi = np.where((reps // d == reps % d).all(axis=1), np.sqrt(multiset_arrangements(k, n)), 0.0)
+    # a d + b = b - a mod d + 1: the diagonal modes are the multiples of d + 1
+    phi = np.where((reps % (d + 1) == 0).all(axis=1), root, 0.0)
     v = np.stack(
         [np.bincount(pairs[0], row * phi[pairs[1]], len(phi)) for row in e] + [phi], axis=1
     )

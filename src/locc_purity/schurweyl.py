@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantError, ValidationError
-from .partitions import Partition, enumerate_partitions, hook_dim, mn_character, weyl_dim
+from .partitions import Partition, enumerate_partitions, hook_dim, weyl_dim
 from .tensorops import (
     DEFAULT_MEMORY_CAP,
     check_memory_cap,
@@ -97,16 +97,15 @@ def _verify_projector_set(s: IsotypicProjectorSet) -> None:
 
 def central_characters(lam: Partition) -> tuple[int, int]:
     """(omega_2, omega_3): omega_k = |C_k| chi_lambda(C_k) / d_lambda is the
-    integer by which the k-cycle class sum acts on the lambda block."""
-    n, d_lam = lam.n, hook_dim(lam)
+    integer by which the k-cycle class sum acts on the lambda block.
 
-    def omega(k: int) -> int:
-        if k > n:
-            return 0
-        chi = mn_character(lam, Partition((k,) + (1,) * (n - k)))
-        return math.comb(n, k) * math.factorial(k - 1) * chi // d_lam
-
-    return omega(2), omega(3)
+    The Jucys-Murphy elements act on the Young basis by the contents c = j - i
+    of the boxes (Okounkov-Vershik), and their power sums are the class
+    sums: T_2 = sum_i X_i and sum_i X_i^2 = C(n, 2) + T_3, so omega_2 = sum c
+    and omega_3 = sum c^2 - C(n, 2).
+    """
+    contents = [j - i for i, row in enumerate(lam.parts) for j in range(row)]
+    return sum(contents), sum(c * c for c in contents) - math.comb(lam.n, 2)
 
 
 def class_sum_keys(d: int, n: int) -> tuple[int, dict[Partition, int]]:

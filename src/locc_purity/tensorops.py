@@ -11,8 +11,9 @@ real test oracles. On the protocol path, symmetric_power gives
 op^{tensor n} on the symmetric subspace as an R x R matrix,
 R = C(k+n-1, n), by a recursion over multiset tables that gathers one
 row per distinct letter, at most k per level, and
-multiset_cycle_images moves chain A's letters of Sym^n(C^d x C^d) along
-the same cycles, on R multiset rows instead of d^n indices.
+multiset_cycle_moves gives chain A's k-cycle class sums on
+Sym^n(C^d x C^d) as moves of its occupied modes, at most min(n, d^2) per
+multiset, with no cycle and no sort of the n letters.
 
 Every dense allocation is gated by a memory cap (default 2 GiB); exceeding
 it raises MemoryCapError with the computed estimate instead of crashing.
@@ -212,16 +213,32 @@ def symmetric_basis(
 def multiset_table(k: int, m: int) -> np.ndarray:
     """The m-multisets of range(k) as sorted rows, in the column order of
     symmetric_basis(k, m); cached read-only."""
-    table = np.array(list(itertools.combinations_with_replacement(range(k), m)))
+    rows = list(itertools.combinations_with_replacement(range(k), m))
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), m)
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=None)
+def _multiset_codes(k: int, m: int) -> np.ndarray:
+    """The radix-k code of every row of multiset_table(k, m); cached read-only."""
+    codes = multiset_table(k, m) @ _radix_weights(k, m)
+    codes.setflags(write=False)
+    return codes
 
 
 def multiset_rank(k: int, rows: np.ndarray) -> np.ndarray:
     """The row of multiset_table(k, m) equal to each sorted row (last axis m):
     sorted rows of one length order as their radix-k codes."""
-    weights = _radix_weights(k, rows.shape[-1])
-    return np.searchsorted(multiset_table(k, rows.shape[-1]) @ weights, rows @ weights)
+    m = rows.shape[-1]
+    return np.searchsorted(_multiset_codes(k, m), rows @ _radix_weights(k, m))
+
+
+def multiset_occupation(k: int, m: int) -> np.ndarray:
+    """(R, k): how often each letter occurs in each row of multiset_table(k, m)."""
+    table = multiset_table(k, m)
+    at = table + k * np.arange(len(table))[:, None]
+    return np.bincount(at.ravel(), minlength=len(table) * k).reshape(len(table), k)
 
 
 def multiset_arrangements(k: int, m: int) -> np.ndarray:
@@ -229,34 +246,104 @@ def multiset_arrangements(k: int, m: int) -> np.ndarray:
     alpha of multiset_table(k, m), as floats: each factorial is exact or
     correctly rounded, and nothing overflows below m = 171."""
     factorial = np.array([math.factorial(i) for i in range(m + 1)], dtype=float)
-    occupation = (multiset_table(k, m)[:, :, None] == np.arange(k)).sum(axis=1)
-    return factorial[m] / factorial[occupation].prod(axis=1)
+    return factorial[m] / factorial[multiset_occupation(k, m)].prod(axis=1)
 
 
-def multiset_cycle_images(d: int, n: int, cycles: np.ndarray) -> np.ndarray:
-    """Chain A's cycle moves on Sym^n(C^d x C^d), on multiset rows.
+@lru_cache(maxsize=None)
+def _rotation_classes(s: int, ks: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Index tables over the rotation classes of k-tuples t of range(s) for
+    every k in ks, one row per tuple entry i, padded to w = max(ks) rows;
+    cached read-only. The classes are the necklaces, each as its smallest
+    rotation, from the Fredricksen-Kessler-Maiorana algorithm. Returns the
+    falling factors t_i w + #{j < i : t_j = t_i} (s w, a factor 1, when
+    padded), the slot pairs t_{i-1} s + t_i (0, a copy keeping its letter,
+    when padded), k over each class size, and the index of its k in ks."""
+    width = max(ks)
+    rows = []
+    for kind, k in enumerate(ks):
+        a = [0] * (k + 1)  # a[1:] runs over the prenecklaces
+        period = 1
+        while True:
+            if k % period == 0:  # a necklace, its class `period` rotations
+                t = a[1:]
+                pad = width - k
+                rows += [x * width + t[:i].count(x) for i, x in enumerate(t)] + [s * width] * pad
+                rows += [t[i - 1] * s + x for i, x in enumerate(t)] + [0] * pad
+                rows += [k // period, kind]
+            i = k
+            while i and a[i] == s - 1:
+                i -= 1
+            if not i:
+                break
+            a[i] += 1
+            period = i
+            for j in range(i + 1, k + 1):
+                a[j] = a[j - period]
+    table = np.array(rows).reshape(-1, 2 * width + 2).T
+    table.setflags(write=False)
+    return table[:width], table[width:-2], table[-2], table[-1]
 
-    Row alpha of multiset_table(d^2, n) holds the sorted modes a d + b of
-    its representative. Entry [alpha, c] is the multiset of that
-    representative after cycle c (a row of k_cycles) moves its A letters a
-    and keeps its B letters b. Every arrangement of alpha has the same
-    images, so chain A's k-cycle class sum restricted to Sym^n is
 
-      t_k[beta, alpha] = sqrt(N_alpha / N_beta) #{c : images[alpha, c] = beta},
+def _codes_fit(d: int, n: int) -> bool:
+    """Whether int64 holds the occupation codes of multiset_cycle_moves and
+    every partial sum of one, all within 6 (n + 1)^(d^2)."""
+    return 6 * (n + 1) ** (d * d) < 2**63
 
-    N from multiset_arrangements: cycle_class_sum's gather on R = C(d^2+n-1, n)
-    representatives instead of d^n indices. Each entry keeps the sorted A
-    letters and the sorted B letters of alpha.
+
+def cycle_moves_memory_entries(d: int, n: int) -> int:
+    """Complex entries live at the peak of multiset_cycle_moves(d, n, {2: .,
+    3: .}) and of a scatter that reads its moves a few times over: the
+    occupation, slot and code tables, grids over the classes of 2- and
+    3-tuples of the slots, and at most one move per cycle of a multiset's copies.
+    Python-integer codes take five times the room."""
+    modes, s = d * d, min(n, d * d)
+    rank = math.comb(modes + n - 1, n)
+    classes = (s * (s + 1) // 2, (s**3 + 2 * s) // 3)
+    kept = rank * (min(classes[0], math.comb(n, 2)) + min(classes[1], 2 * math.comb(n, 3)))
+    entries = rank * (2 * modes + 4 * s * s + 3 * sum(classes)) + 9 * kept
+    return (1 if _codes_fit(d, n) else 5) * entries // 2
+
+
+def multiset_cycle_moves(
+    d: int, n: int, coefficients: dict[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t = sum_k coefficients[k] t_k, t_k chain A's k-cycle class sum on
+    Sym^n(C^d x C^d), as moves of the modes m = a d + b of multiset_table.
+
+    A k-cycle of copies carrying m_0 .. m_{k-1} hands each A letter on, so
+    it sends alpha to beta = alpha - sum_i e_{m_i} + sum_i e_{(a_{i-1}, b_i)};
+    a rotation of the tuple changes neither beta nor the number of cycles,
+    which over one tuple tau per rotation class of alpha's occupied modes
+    (at most min(n, d^2) slots) is w(tau) = (class size / k)
+    prod_i (alpha_{m_i} - #{j < i : m_j = m_i}). Returns (alpha, beta, c_k w)
+    over the w > 0, and t[beta, alpha] = sqrt(N_alpha / N_beta) sum c_k w,
+    N from multiset_arrangements. beta is ranked by its occupation code in
+    base n + 1 (mode 0 most significant, negated so that the codes increase
+    down the table), with Python-integer digits past int64.
     """
-    reps = multiset_table(d * d, n)
-    a = reps // d
-    k = cycles.shape[1]
-    moved = np.repeat(a[:, None, :], len(cycles), axis=1)
-    moved[:, np.arange(len(cycles))[:, None], cycles[:, (np.arange(k) + 1) % k]] = a[:, cycles]
-    moved *= d
-    moved += (reps % d)[:, None, :]
-    moved.sort(axis=2)
-    return multiset_rank(d * d, moved)
+    modes = d * d
+    occupation = multiset_occupation(modes, n)
+    rank, s = len(occupation), min(n, modes)
+    slot = np.argsort(occupation == 0, axis=1)[:, :s]  # the occupied modes first
+    count = occupation[np.arange(rank)[:, None], slot]
+    exact = np.int64 if _codes_fit(d, n) else object
+    place = np.array([-((n + 1) ** p) for p in range(modes - 1, -1, -1)], dtype=exact)
+    codes = occupation @ place
+    # the code change when the copy at slot q takes the A letter of slot p
+    shift = place[(slot // d * d)[:, :, None] + slot[:, None, :] % d] - place[slot][:, None, :]
+    shift = shift.reshape(rank, s * s)
+    factor_at, step, fold, kind = _rotation_classes(s, tuple(coefficients))
+    falling = np.ones((rank, s * len(step) + 1))
+    falling[:, :-1] = (count[:, :, None] - np.arange(len(step))).reshape(rank, -1)
+    weight = falling[:, factor_at[0]]
+    code = codes[:, None] + shift[:, step[0]]
+    for i in range(1, len(step)):
+        weight *= falling[:, factor_at[i]]
+        code += shift[:, step[i]]
+    weight /= fold
+    weight *= np.array(list(coefficients.values()))[kind]
+    at = np.flatnonzero(weight)
+    return at // len(fold), np.searchsorted(codes, code.ravel()[at]), weight.ravel()[at]
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +360,7 @@ def _power_step(k: int, m: int) -> tuple[np.ndarray, ...]:
     appended to the step table.
     """
     prev, cur = multiset_table(k, m - 1), multiset_table(k, m)
-    letter = np.tile(np.arange(k), len(prev))
+    letter = np.arange(k * len(prev)) % k
     grown = np.concatenate([np.repeat(prev, k, axis=0), letter[:, None]], axis=1)
     grown.sort(axis=1)
     up = multiset_rank(k, grown)  # the alpha of each step row (alpha', j)
@@ -281,7 +368,7 @@ def _power_step(k: int, m: int) -> tuple[np.ndarray, ...]:
     alpha = up[order]
     rows = np.full((len(cur), min(m, k)), len(prev) * k)
     rows[alpha, np.arange(len(alpha)) - np.searchsorted(alpha, alpha)] = order
-    lift = np.sqrt(1 + (prev[:, :, None] == np.arange(k)).sum(axis=1))
+    lift = np.sqrt(1 + multiset_occupation(k, m - 1))
     col_scale = 1.0 / np.sqrt((cur == cur[:, :1]).sum(axis=1))
     tables = (rows[:, 0] // k, cur[:, 0], col_scale, lift, rows)
     for t in tables:

@@ -22,6 +22,8 @@ from locc_purity.schurweyl import (
 from locc_purity.tensorops import (
     DEFAULT_MEMORY_CAP,
     frobenius,
+    multiset_rank,
+    multiset_table,
     perm_operator,
     permuted_basis_index,
     trace_product,
@@ -81,6 +83,30 @@ def symmetric_basis_loop(local_dim, n):
         for arr in arrangements:
             v[int(np.dot(arr, weights)), col] = amp
     return v
+
+
+def multiset_cycle_images(d, n, cycles):
+    """Chain A's cycle moves on Sym^n(C^d x C^d), one cycle at a time.
+
+    Row alpha of multiset_table(d^2, n) holds the sorted modes a d + b of
+    its representative. Entry [alpha, c] is the multiset of that
+    representative after cycle c (a row of tensorops.k_cycles) moves its A
+    letters a and keeps its B letters b, so that chain A's k-cycle class
+    sum restricted to Sym^n is
+
+      t_k[beta, alpha] = sqrt(N_alpha / N_beta) #{c : images[alpha, c] = beta},
+
+    N from multiset_arrangements.
+    """
+    reps = multiset_table(d * d, n)
+    a = reps // d
+    k = cycles.shape[1]
+    moved = np.repeat(a[:, None, :], len(cycles), axis=1)
+    moved[:, np.arange(len(cycles))[:, None], cycles[:, (np.arange(k) + 1) % k]] = a[:, cycles]
+    moved *= d
+    moved += (reps % d)[:, None, :]
+    moved.sort(axis=2)
+    return multiset_rank(d * d, moved)
 
 
 @lru_cache(maxsize=None)

@@ -87,6 +87,20 @@ def test_central_characters_known_values():
     assert a[0] == b[0] == 3 and a[1] != b[1]
 
 
+def test_central_characters_match_murnaghan_nakayama():
+    # the content sums against |C_k| chi_lambda(C_k) / d_lambda, chi by
+    # Murnaghan-Nakayama, for every partition of n <= 10
+    for n in range(1, 11):
+        for lam in enumerate_partitions(n, n):
+            want = tuple(
+                math.comb(n, k) * math.factorial(k - 1)
+                * mn_character(lam, Partition((k,) + (1,) * (n - k))) // hook_dim(lam)
+                if k <= n else 0
+                for k in (2, 3)
+            )
+            assert central_characters(lam) == want, lam
+
+
 def test_projector_build_rejects_unseparated_indices(monkeypatch):
     monkeypatch.setattr(schurweyl, "central_characters", lambda lam: (0, 0))
     with pytest.raises(InvariantError, match="separate"):

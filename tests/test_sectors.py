@@ -1,6 +1,6 @@
 """The state-independent tables of the n-copy pass on Sym^n(C^d x C^d)
 against the chain route: E_lambda = V^T (P_lambda x I) V, v_lambda =
-V^T vec(P_lambda), the k-cycle class sums on multiset rows, and closed forms
+V^T vec(P_lambda), the k-cycle class sums as mode moves, and closed forms
 for product states at sizes the chain route cannot reach."""
 
 import subprocess
@@ -10,22 +10,24 @@ import numpy as np
 import pytest
 
 from locc_purity import protocol
+from locc_purity.errors import InvariantError
 from locc_purity.partitions import hook_dim, schur_polynomial, weyl_dim
 from locc_purity.protocol import _pass_tables, block_statistics
-from locc_purity.schurweyl import build_projector_set, chain_to_copy_index
+from locc_purity.schurweyl import build_projector_set, chain_to_copy_index, class_sum_keys
 from locc_purity.tensorops import (
     cycle_class_sum,
     k_cycles,
     multiset_arrangements,
-    multiset_cycle_images,
+    multiset_cycle_moves,
     multiset_rank,
     multiset_table,
     symmetric_basis,
 )
 
+from oracles import multiset_cycle_images
+
 # (d, n) at which the tables are compared entry for entry with the chain route
 CHAIN_CASES = [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 5)]
-SMALL_CASES = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)]
 
 
 def chain_basis(d, n):
@@ -69,18 +71,40 @@ def test_isotypic_sector_projectors_match_chain_route(d, n):
         np.testing.assert_allclose(t.v[:, i], want_v, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("d,n", SMALL_CASES)
+def on_multisets(root, alpha, beta, weight):
+    """The dense R x R matrix with sqrt(N_alpha / N_beta) weight summed
+    into each entry [beta, alpha]."""
+    out = np.zeros((len(root), len(root)))
+    np.add.at(out, (beta, alpha), weight * root[alpha] / root[beta])
+    return out
+
+
+# (7, 2) ranks its moves by Python-integer codes: 6 * 3^49 passes int64
+@pytest.mark.parametrize("d,n", CHAIN_CASES + [(7, 2)])
 def test_multiset_cycle_images_give_the_chain_class_sums(d, n):
-    # t_k[beta, alpha] = sqrt(N_alpha / N_beta) #{cycles sending alpha to beta}
+    # the mode moves of chain A's k-cycles give its class sum on Sym^n
     root = np.sqrt(multiset_arrangements(d * d, n))
     v_chain = chain_basis(d, n)
     for k in (2, 3):
-        images = multiset_cycle_images(d, n, k_cycles(n, k))
-        alpha = np.broadcast_to(np.arange(len(root))[:, None], images.shape)
-        got = np.zeros((len(root), len(root)))
-        np.add.at(got, (images, alpha), root[alpha] / root[images])
+        got = on_multisets(root, *multiset_cycle_moves(d, n, {k: 1}))
         want = sandwich(v_chain, cycle_class_sum(d, n, k))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,n", [(2, 12), (3, 5)])
+def test_cycle_moves_and_cycle_images_build_one_key_operator(d, n):
+    # A = K t_2 + t_3 from one tuple per rotation class of the occupied
+    # modes, against the image of every cycle; only the summation order differs
+    spread, _ = class_sum_keys(d, n)
+    root = np.sqrt(multiset_arrangements(d * d, n))
+    moved = on_multisets(root, *multiset_cycle_moves(d, n, {2: spread, 3: 1}))
+    imaged = np.zeros_like(moved)
+    for k, scale in ((2, spread), (3, 1)):
+        images = multiset_cycle_images(d, n, k_cycles(n, k))
+        alpha = np.broadcast_to(np.arange(len(root))[:, None], images.shape)
+        imaged += on_multisets(root, alpha.ravel(), images.ravel(), scale)
+    assert (moved != 0).sum() == (imaged != 0).sum() > len(root)
+    np.testing.assert_allclose(moved, imaged, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 7)])
@@ -164,11 +188,39 @@ def test_import_builds_no_table():
         "from locc_purity import protocol, states, tensorops\n"
         "states.spec_from_json('{\"d\": 2, \"kind\": \"random_mixed\", \"seed\": 1}')\n"
         "caches = [protocol._pass_tables, protocol.pass_memory_entries, tensorops._power_step,\n"
-        "          tensorops.multiset_table, tensorops._digit_table, tensorops._radix_weights]\n"
+        "          tensorops.multiset_table, tensorops._digit_table, tensorops._radix_weights,\n"
+        "          tensorops._multiset_codes, tensorops._rotation_classes]\n"
         "print([c.cache_info().currsize for c in caches])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0]"]
+    assert out.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0,", "0,", "0]"]
 
+
+def test_a_move_out_of_its_sector_is_loud(monkeypatch):
+    original = protocol.multiset_cycle_moves
+
+    def shifted(d, n, coefficients):
+        alpha, beta, weight = original(d, n, coefficients)
+        return alpha, (beta + 1) % len(multiset_table(d * d, n)), weight
+
+    monkeypatch.setattr(protocol, "multiset_cycle_moves", shifted)
+    with pytest.raises(InvariantError, match="left its weight sector"):
+        protocol._pass_tables.__wrapped__(2, 4)
+
+
+def test_an_eigenvalue_off_every_key_is_loud(monkeypatch):
+    # move one key 0.7 away from the eigenvalue of its Young index
+    spread, key = class_sum_keys(2, 4)
+    lam = next(iter(key))
+    moved = (spread, {**key, lam: key[lam] + 0.7})
+    monkeypatch.setattr(protocol, "class_sum_keys", lambda d, n: moved)
+    with pytest.raises(InvariantError, match=f"{weyl_dim(lam, 2) ** 2} eigenvalues .* off every"):
+        protocol._pass_tables.__wrapped__(2, 4)
+
+
+def test_a_projector_of_the_wrong_trace_is_loud(monkeypatch):
+    monkeypatch.setattr(protocol, "weyl_dim", lambda lam, d: weyl_dim(lam, d) + 1)
+    with pytest.raises(InvariantError, match=r"tr E_"):
+        protocol._pass_tables.__wrapped__(2, 4)
