@@ -54,6 +54,7 @@ from .tensorops import (
     cycle_moves_memory_entries,
     multiset_arrangements,
     multiset_cycle_moves,
+    multiset_occupation,
     multiset_rank,
     multiset_table,
     symmetric_power,
@@ -143,8 +144,8 @@ _REPORT_ENTRIES = 2048
 def pass_memory_entries(d: int, n: int) -> int:
     """Complex entries live at the peak of one n-copy pass, the figure the
     memory cap is checked against: the cached tables (_pass_tables) plus
-    the largest of their build, symmetric_power's Gamma_{n-1}, the gather
-    of Gamma_n's sector-diagonal entries next to Gamma_{n-1}(rho), and the
+    the largest of their build, Gamma_{n-1}(rho^R) next to Gamma_n(rho) on
+    the pairs, the gather of those next to Gamma_{n-1}(rho), and the
     p_lambda product next to Gamma_{n-1}(rho^R). Real and int64 entries
     count half; the same-sector pairs are bounded by _sector_pair_bound. The
     build holds K t_2 + t_3 next to the mode moves, the eigenvectors of one
@@ -153,12 +154,12 @@ def pass_memory_entries(d: int, n: int) -> int:
     rank, prev = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1)
     pairs, slots = _sector_pair_bound(d, n), min(n, k)
     tables = pairs * (3 * slots + lams + 2) + (rank + 2 * k * prev) * (lams + 1)
-    # multiset_table, its codes and _power_step at every level symmetric_power visits
+    # multiset_table and _power_step at every level symmetric_power visits
     for m in range(1, n + 1):
-        tables += math.comb(k + m - 1, m) * (m + min(m, k) + 3) + k * math.comb(k + m - 2, m - 1)
+        tables += math.comb(k + m - 1, m) * (m + min(m, k) + 2) + k * math.comb(k + m - 2, m - 1)
     moves = cycle_moves_memory_entries(d, n)
     build = pairs + max(2 * slots * pairs, moves, (lams + 2) * pairs // 2)
-    power = symmetric_power_memory_entries(k, n - 1) if n > 1 else 0
+    power = symmetric_power_memory_entries(k, n - 1) + pairs // 2 if n > 1 else 0
     gather = prev * prev + 2 * pairs * slots
     product = prev * prev + 3 * k * prev * (lams + 1)
     return -(-tables // 2) + max(build, power, gather, product) + _REPORT_ENTRIES
@@ -186,14 +187,14 @@ class _PassTables:
 def _weight_sectors(d: int, n: int) -> list[np.ndarray]:
     """The weight sectors of Sym^n(C^d x C^d), grouped by size.
 
-    Row alpha of multiset_table(d^2, n) holds sorted modes a d + b, so its
-    A letters are sorted already; it lies in the sector of its A letters and
-    its sorted B letters. Returns, per sector size s, the (#sectors, s)
-    array of member rows, each sector's in increasing order.
+    Row alpha's occupation of the modes a d + b, read as a d x d table,
+    has its A weight as the row sums and its B weight as the column sums;
+    it lies in the sector of the two. Returns, per sector size s, the
+    (#sectors, s) array of member rows, each sector's in increasing order.
     """
-    reps = multiset_table(d * d, n)
-    key = multiset_rank(d, reps // d) * math.comb(d + n - 1, n)
-    key += multiset_rank(d, np.sort(reps % d, axis=1))
+    occupation = multiset_occupation(d * d, n).reshape(-1, d, d)
+    key = multiset_rank(occupation.sum(axis=2)) * math.comb(d + n - 1, n)
+    key += multiset_rank(occupation.sum(axis=1))
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))

@@ -6,7 +6,8 @@ index is sum_m i_m * k^(n-m). Copy permutations act on digit positions.
 
 No code here visits the n! permutations. The k-cycle class sums T_k are one
 gather over the O(n^k) cycles; the symmetrizer and the symmetric basis are
-filled from the sorted digit rows of the basis indices. All of them are
+filled from the letter counts of the basis indices, which multiset_rank
+turns into rows of multiset_table, exactly in int64. All of them are
 real test oracles. On the protocol path, symmetric_power gives
 op^{tensor n} on the symmetric subspace as an R x R matrix,
 R = C(k+n-1, n), by a recursion over multiset tables that gathers one
@@ -158,11 +159,9 @@ def cycle_class_sum(
 
 
 def _multisets(local_dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The multiset column of every basis index (its sorted digits) and the
-    number of arrangements of every multiset."""
-    digits = _digits(local_dim, n)  # a temporary: too large to cache
-    digits.sort(axis=1)
-    col = multiset_rank(local_dim, digits)
+    """The multiset column of every basis index (the rank of its digits'
+    occupation) and the number of arrangements of every multiset."""
+    col = multiset_rank((_digits(local_dim, n)[:, :, None] == np.arange(local_dim)).sum(axis=1))
     return col, np.bincount(col)
 
 
@@ -212,26 +211,33 @@ def symmetric_basis(
 @lru_cache(maxsize=None)
 def multiset_table(k: int, m: int) -> np.ndarray:
     """The m-multisets of range(k) as sorted rows, in the column order of
-    symmetric_basis(k, m); cached read-only."""
-    rows = list(itertools.combinations_with_replacement(range(k), m))
-    table = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+    symmetric_basis(k, m); cached read-only. The rows with first letter a
+    are a placed before the last C(k - a + m - 2, m - 1) rows of level
+    m - 1, the ones whose letters are all >= a."""
+    table = np.zeros((1, 0), dtype=np.int64)
+    if m:
+        prev = multiset_table(k, m - 1)
+        tail = [math.comb(k - a + m - 2, m - 1) for a in range(k)]
+        at = np.concatenate([np.arange(len(prev) - t, len(prev)) for t in tail])
+        table = np.column_stack([np.repeat(np.arange(k), tail), prev[at]])
     table.setflags(write=False)
     return table
 
 
-@lru_cache(maxsize=None)
-def _multiset_codes(k: int, m: int) -> np.ndarray:
-    """The radix-k code of every row of multiset_table(k, m); cached read-only."""
-    codes = multiset_table(k, m) @ _radix_weights(k, m)
-    codes.setflags(write=False)
-    return codes
-
-
-def multiset_rank(k: int, rows: np.ndarray) -> np.ndarray:
-    """The row of multiset_table(k, m) equal to each sorted row (last axis m):
-    sorted rows of one length order as their radix-k codes."""
-    m = rows.shape[-1]
-    return np.searchsorted(_multiset_codes(k, m), rows @ _radix_weights(k, m))
+def multiset_rank(occupation: np.ndarray) -> np.ndarray:
+    """The row of multiset_table(k, m) with each occupation (last axis k):
+    sum_{c < k-1} C(r_c + k - c - 2, k - c - 1), r_c the letters after c, in
+    the combinatorial number system (Knuth, TAOCP 7.2.1.3). Every term is at
+    most the row count, so int64 is exact wherever it holds C(k + m - 1, m)."""
+    k = occupation.shape[-1]
+    after = occupation[..., 1:].sum(axis=-1)  # r_0
+    top = int(after.max(initial=0))
+    rank = np.zeros_like(after)
+    for c in range(k - 1):
+        term = [math.comb(r + k - c - 2, k - c - 1) for r in range(top + 1)]
+        rank += np.array(term, dtype=np.int64)[after]
+        after -= occupation[..., c + 1]
+    return rank
 
 
 def multiset_occupation(k: int, m: int) -> np.ndarray:
@@ -284,24 +290,20 @@ def _rotation_classes(s: int, ks: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return table[:width], table[width:-2], table[-2], table[-1]
 
 
-def _codes_fit(d: int, n: int) -> bool:
-    """Whether int64 holds the occupation codes of multiset_cycle_moves and
-    every partial sum of one, all within 6 (n + 1)^(d^2)."""
-    return 6 * (n + 1) ** (d * d) < 2**63
-
-
 def cycle_moves_memory_entries(d: int, n: int) -> int:
     """Complex entries live at the peak of multiset_cycle_moves(d, n, {2: .,
     3: .}) and of a scatter that reads its moves a few times over: the
-    occupation, slot and code tables, grids over the classes of 2- and
-    3-tuples of the slots, and at most one move per cycle of a multiset's copies.
-    Python-integer codes take five times the room."""
+    occupation, slot and target tables, grids over the classes of 2- and
+    3-tuples of the slots, and at most one move per cycle of a multiset's
+    copies, each with the occupation of its beta and the index temporaries
+    of its hand-ons and its rank."""
     modes, s = d * d, min(n, d * d)
     rank = math.comb(modes + n - 1, n)
     classes = (s * (s + 1) // 2, (s**3 + 2 * s) // 3)
-    kept = rank * (min(classes[0], math.comb(n, 2)) + min(classes[1], 2 * math.comb(n, 3)))
-    entries = rank * (2 * modes + 4 * s * s + 3 * sum(classes)) + 9 * kept
-    return (1 if _codes_fit(d, n) else 5) * entries // 2
+    # the w > 0: one per 2- and per 3-necklace of each alpha's occupied modes
+    kept = (modes * (modes + 1) // 2) * math.comb(modes + n - 3, n - 2) if n > 1 else 0
+    kept += (modes**3 + 2 * modes) // 3 * math.comb(modes + n - 4, n - 3) if n > 2 else 0
+    return (rank * (2 * modes + 4 * s * s + 2 * sum(classes)) + kept * (modes + 9)) // 2
 
 
 def multiset_cycle_moves(
@@ -317,33 +319,33 @@ def multiset_cycle_moves(
     (at most min(n, d^2) slots) is w(tau) = (class size / k)
     prod_i (alpha_{m_i} - #{j < i : m_j = m_i}). Returns (alpha, beta, c_k w)
     over the w > 0, and t[beta, alpha] = sqrt(N_alpha / N_beta) sum c_k w,
-    N from multiset_arrangements. beta is ranked by its occupation code in
-    base n + 1 (mode 0 most significant, negated so that the codes increase
-    down the table), with Python-integer digits past int64.
+    N from multiset_arrangements. Each kept move's beta is formed as an
+    occupation and found by multiset_rank.
     """
     modes = d * d
     occupation = multiset_occupation(modes, n)
     rank, s = len(occupation), min(n, modes)
     slot = np.argsort(occupation == 0, axis=1)[:, :s]  # the occupied modes first
     count = occupation[np.arange(rank)[:, None], slot]
-    exact = np.int64 if _codes_fit(d, n) else object
-    place = np.array([-((n + 1) ** p) for p in range(modes - 1, -1, -1)], dtype=exact)
-    codes = occupation @ place
-    # the code change when the copy at slot q takes the A letter of slot p
-    shift = place[(slot // d * d)[:, :, None] + slot[:, None, :] % d] - place[slot][:, None, :]
-    shift = shift.reshape(rank, s * s)
+    # the mode of the copy at slot q once it takes the A letter of slot p
+    target = ((slot // d * d)[:, :, None] + slot[:, None, :] % d).reshape(rank, s * s)
     factor_at, step, fold, kind = _rotation_classes(s, tuple(coefficients))
     falling = np.ones((rank, s * len(step) + 1))
     falling[:, :-1] = (count[:, :, None] - np.arange(len(step))).reshape(rank, -1)
     weight = falling[:, factor_at[0]]
-    code = codes[:, None] + shift[:, step[0]]
     for i in range(1, len(step)):
         weight *= falling[:, factor_at[i]]
-        code += shift[:, step[i]]
     weight /= fold
     weight *= np.array(list(coefficients.values()))[kind]
     at = np.flatnonzero(weight)
-    return at // len(fold), np.searchsorted(codes, code.ravel()[at]), weight.ravel()[at]
+    alpha, tau = np.divmod(at, len(fold))
+    beta = occupation[alpha]
+    flat, row = beta.ravel(), np.arange(0, beta.size, modes)  # flat is a view
+    for pair in step:
+        pair = pair[tau]
+        flat[row + target[alpha, pair]] += 1
+        flat[row + slot[alpha, pair % s]] -= 1
+    return alpha, multiset_rank(beta), weight.ravel()[at]
 
 
 @lru_cache(maxsize=None)
@@ -354,21 +356,18 @@ def _power_step(k: int, m: int) -> tuple[np.ndarray, ...]:
     Row alpha sums the step table's rows (alpha - e_j, j) over the distinct
     letters j of its multiset, smallest first, each with its lift
     sqrt(alpha_j) = sqrt((alpha - e_j)_j + 1). Every step row (alpha', j)
-    is the row of exactly one alpha = alpha' + e_j, so the rows are ranked
-    from the step rows up. A multiset has at most min(m, k) distinct
-    letters; the slots left over hold the sentinel k R_{m-1}, one zero row
-    appended to the step table.
+    is in the row of exactly one alpha, ranked from the occupation
+    alpha' + e_j, at the slot that counts the distinct letters of alpha'
+    below j. A multiset has at most min(m, k) distinct letters; the slots
+    left over hold the sentinel k R_{m-1}, one zero row appended to the
+    step table.
     """
-    prev, cur = multiset_table(k, m - 1), multiset_table(k, m)
-    letter = np.arange(k * len(prev)) % k
-    grown = np.concatenate([np.repeat(prev, k, axis=0), letter[:, None]], axis=1)
-    grown.sort(axis=1)
-    up = multiset_rank(k, grown)  # the alpha of each step row (alpha', j)
-    order = np.argsort(up * k + letter)  # by alpha, then by letter
-    alpha = up[order]
+    prev, cur = multiset_occupation(k, m - 1), multiset_table(k, m)
+    up = multiset_rank((prev[:, None, :] + np.eye(k, dtype=np.int64)).reshape(-1, k))
+    below = np.cumsum(prev > 0, axis=1) - (prev > 0)
     rows = np.full((len(cur), min(m, k)), len(prev) * k)
-    rows[alpha, np.arange(len(alpha)) - np.searchsorted(alpha, alpha)] = order
-    lift = np.sqrt(1 + multiset_occupation(k, m - 1))
+    rows[up, below.ravel()] = np.arange(len(up))
+    lift = np.sqrt(1 + prev)
     col_scale = 1.0 / np.sqrt((cur == cur[:, :1]).sum(axis=1))
     tables = (rows[:, 0] // k, cur[:, 0], col_scale, lift, rows)
     for t in tables:

@@ -105,8 +105,7 @@ def multiset_cycle_images(d, n, cycles):
     moved[:, np.arange(len(cycles))[:, None], cycles[:, (np.arange(k) + 1) % k]] = a[:, cycles]
     moved *= d
     moved += (reps % d)[:, None, :]
-    moved.sort(axis=2)
-    return multiset_rank(d * d, moved)
+    return multiset_rank((moved[..., None] == np.arange(d * d)).sum(axis=2))
 
 
 @lru_cache(maxsize=None)

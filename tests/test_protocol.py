@@ -3,6 +3,8 @@ the Schur-polynomial oracle for pure inputs, the optimal-acceptance oracle,
 the sandwich inequality, and exponent-series behavior."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -390,7 +392,7 @@ def test_pass_memory_estimate_bounds_traced_peak(d, n):
     assert peak <= estimate <= 2 * peak
 
 
-@pytest.mark.parametrize("d,n", [(2, 6), (2, 8), (3, 4), (3, 5)])
+@pytest.mark.parametrize("d,n", [(2, 6), (2, 8), (3, 4), (3, 5), (6, 3), (7, 2)])
 def test_pass_memory_estimate_covers_the_table_build(d, n):
     # the first call of a process also builds the cached tables; its peak,
     # tables included, must stay under the estimate
@@ -406,6 +408,26 @@ def test_pass_memory_estimate_covers_the_table_build(d, n):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * pass_memory_entries(d, n)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_pass_memory_estimate_covers_a_fresh_process(n):
+    # nothing is cached or pooled yet in a fresh process: every table the
+    # first pass builds, and every object it leaves behind, counts
+    code = (
+        "import tracemalloc\n"
+        "from locc_purity.protocol import pass_memory_entries, run_test\n"
+        "from locc_purity.states import StateSpec, build_state\n"
+        "rho = build_state(StateSpec(d=2, kind='random_mixed', seed=7))\n"
+        "tracemalloc.start()\n"
+        f"run_test(rho, 2, {n})\n"
+        f"print(tracemalloc.get_traced_memory()[1], 16 * pass_memory_entries(2, {n}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    peak, estimate = map(int, out.stdout.split())
+    assert peak <= estimate
 
 
 @pytest.mark.parametrize("entry", [block_statistics, p_opt, run_test])

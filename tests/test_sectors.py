@@ -5,6 +5,7 @@ for product states at sizes the chain route cannot reach."""
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from locc_purity.protocol import _pass_tables, block_statistics
 from locc_purity.schurweyl import build_projector_set, chain_to_copy_index, class_sum_keys
 from locc_purity.tensorops import (
     cycle_class_sum,
+    cycle_moves_memory_entries,
     k_cycles,
     multiset_arrangements,
     multiset_cycle_moves,
+    multiset_occupation,
     multiset_rank,
     multiset_table,
     symmetric_basis,
@@ -54,9 +57,10 @@ def dense(t, values):
 
 def swap_letters(d, n):
     """The multiset of every row of multiset_table(d^2, n) with the A and B
-    letters of each mode exchanged."""
-    reps = multiset_table(d * d, n)
-    return multiset_rank(d * d, np.sort(reps % d * d + reps // d, axis=1))
+    letters of each mode exchanged: its occupation, read as a d x d table
+    over the modes a d + b, transposed."""
+    occupation = multiset_occupation(d * d, n).reshape(-1, d, d)
+    return multiset_rank(occupation.transpose(0, 2, 1).reshape(-1, d * d))
 
 
 @pytest.mark.parametrize("d,n", CHAIN_CASES)
@@ -79,7 +83,7 @@ def on_multisets(root, alpha, beta, weight):
     return out
 
 
-# (7, 2) ranks its moves by Python-integer codes: 6 * 3^49 passes int64
+# (7, 2): moves among 49 modes, wider occupations than any chain case
 @pytest.mark.parametrize("d,n", CHAIN_CASES + [(7, 2)])
 def test_multiset_cycle_images_give_the_chain_class_sums(d, n):
     # the mode moves of chain A's k-cycles give its class sum on Sym^n
@@ -105,6 +109,20 @@ def test_cycle_moves_and_cycle_images_build_one_key_operator(d, n):
         imaged += on_multisets(root, alpha.ravel(), images.ravel(), scale)
     assert (moved != 0).sum() == (imaged != 0).sum() > len(root)
     np.testing.assert_allclose(moved, imaged, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d,n", [(2, 12), (3, 5), (4, 3), (6, 3)])
+def test_cycle_moves_memory_estimate_covers_the_moves(d, n):
+    # every kept move holds its beta's occupation, d^2 entries, while it is ranked
+    coefficients = {2: class_sum_keys(d, n)[0], 3: 1}
+    multiset_cycle_moves(d, n, coefficients)  # warms the cached tables
+    tracemalloc.start()
+    try:
+        multiset_cycle_moves(d, n, coefficients)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * cycle_moves_memory_entries(d, n)
 
 
 @pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 7)])
@@ -174,6 +192,13 @@ def test_product_states_match_schur_closed_forms(d, n_max):
             assert b.m_lambda == pytest.approx(s, rel=1e-10, abs=1e-15)
 
 
+def test_pass_tables_build_past_int64_radix_codes():
+    # _power_step(4, 33) ranks rows whose radix-4 codes pass int64
+    t = _pass_tables(2, 33)
+    assert t.v.shape[0] == len(multiset_table(4, 33))
+    np.testing.assert_allclose(t.e.sum(axis=0), t.pairs[0] == t.pairs[1], rtol=0, atol=1e-12)
+
+
 def test_tables_are_read_only():
     t = _pass_tables(2, 4)
     for value in vars(t).values():
@@ -189,13 +214,13 @@ def test_import_builds_no_table():
         "states.spec_from_json('{\"d\": 2, \"kind\": \"random_mixed\", \"seed\": 1}')\n"
         "caches = [protocol._pass_tables, protocol.pass_memory_entries, tensorops._power_step,\n"
         "          tensorops.multiset_table, tensorops._digit_table, tensorops._radix_weights,\n"
-        "          tensorops._multiset_codes, tensorops._rotation_classes]\n"
+        "          tensorops._rotation_classes]\n"
         "print([c.cache_info().currsize for c in caches])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0,", "0,", "0]"]
+    assert out.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0,", "0]"]
 
 
 def test_a_move_out_of_its_sector_is_loud(monkeypatch):

@@ -13,6 +13,8 @@ from locc_purity.tensorops import (
     is_projector,
     kron,
     perm_operator,
+    multiset_occupation,
+    multiset_rank,
     multiset_table,
     symmetric_basis,
     symmetric_power,
@@ -247,9 +249,32 @@ def test_symmetric_power_of_hermitian_is_hermitian(k, n):
 
 
 def test_multiset_table_is_the_symmetric_basis_column_order():
-    for k, n in ((2, 3), (4, 3), (9, 2)):
+    for k, n in [(k, n) for k in range(1, 8) for n in range(10)] + [(9, 2)]:
         want = list(itertools.combinations_with_replacement(range(k), n))
         assert [tuple(row) for row in multiset_table(k, n)] == want
+
+
+@pytest.mark.parametrize("k,m", [(1, 4), (2, 5), (3, 4), (4, 6), (4, 32), (4, 33), (9, 12)])
+def test_multiset_rank_finds_every_row(k, m):
+    # radix-k codes of the rows wrap past int64 from (4, 32) on; every term
+    # of the combinatorial number system is at most the row count
+    rank = multiset_rank(multiset_occupation(k, m))
+    assert rank.dtype == np.int64
+    assert np.array_equal(rank, np.arange(math.comb(k + m - 1, m)))
+
+
+def test_power_step_grows_each_row_by_one_letter_past_int64_codes():
+    # the step rows (alpha', j) of level 33 on 4 modes land on the alpha
+    # whose occupation is alpha' + e_j
+    k, m = 4, 33
+    rows = _power_step(k, m)[-1]
+    prev, cur = multiset_occupation(k, m - 1), multiset_occupation(k, m)
+    alpha, slot = np.nonzero(rows < k * len(prev))
+    step = rows[alpha, slot]
+    grown = prev[step // k]
+    grown[np.arange(len(step)), step % k] += 1
+    assert np.array_equal(grown, cur[alpha])
+    assert np.array_equal(np.sort(step), np.arange(k * len(prev)))
 
 
 def test_symmetric_power_rejects_bad_input():
