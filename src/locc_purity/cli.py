@@ -368,6 +368,11 @@ def _memory_cap(args: argparse.Namespace) -> int:
     return cap
 
 
+# the argparse tree run() parses with, built on its first call: building
+# its 7 parsers takes milliseconds, and parsing leaves them unchanged
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locc-purity",
@@ -470,7 +475,10 @@ _COMMANDS: dict[str, Callable[[RunConfig], str]] = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
         _write_output(_COMMANDS[cfg.command](cfg), cfg)

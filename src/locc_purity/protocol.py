@@ -26,8 +26,9 @@ Sym^n(A x B) = (+)_lambda S_lambda(A) x S_lambda(B): it keeps the multisets
 of A letters and of B letters, so it is block diagonal over small weight
 sectors, and the pass reads only the sector-diagonal entries of Gamma and
 v_lambda^T Gamma^R v_lambda. Both are one contraction of the last step of
-symmetric_power with Gamma_{n-1}, so one pass per n (_n_copy_pass) forms
-Gamma_{n-1} of rho and of rho^R and nothing of size d^n; its
+symmetric_power with G_{n-1}, Gamma_{n-1} in the monomial frame
+C Gamma_{n-1} C^{-1}, C = diag(1 / sqrt(alpha!)), so one pass per n
+(_n_copy_pass) forms G_{n-1} of rho and of rho^R and nothing of size d^n; its
 state-independent tables (_pass_tables) are built once per (d, n) on first
 use. Three independent routes to the optimal acceptance (Tr Gamma, sum of
 m_lambda, complete homogeneous polynomial of the spectrum) must agree, and
@@ -49,7 +50,9 @@ from .schurweyl import TRACE_TOL, class_sum_keys
 from .states import StateSpec, analyze, build_state
 from .tensorops import (
     DEFAULT_MEMORY_CAP,
+    _monomial_power,
     _power_step,
+    _root_factorials,
     check_memory_cap,
     cycle_moves_memory_entries,
     multiset_arrangements,
@@ -57,7 +60,6 @@ from .tensorops import (
     multiset_occupation,
     multiset_rank,
     multiset_table,
-    symmetric_power,
     symmetric_power_memory_entries,
 )
 
@@ -144,19 +146,21 @@ _REPORT_ENTRIES = 2048
 def pass_memory_entries(d: int, n: int) -> int:
     """Complex entries live at the peak of one n-copy pass, the figure the
     memory cap is checked against: the cached tables (_pass_tables) plus
-    the largest of their build, Gamma_{n-1}(rho^R) next to Gamma_n(rho) on
-    the pairs, the gather of those next to Gamma_{n-1}(rho), and the
-    p_lambda product next to Gamma_{n-1}(rho^R). Real and int64 entries
+    the largest of their build, G_{n-1}(rho^R) next to Gamma_n(rho) on the
+    pairs, the gather of those next to G_{n-1}(rho), and the p_lambda
+    product next to G_{n-1}(rho^R). G is the monomial frame of the power
+    (see _pass_tables), as large as Gamma; the similarity rides in the
+    tables, with one cached sqrt(alpha!) column. Real and int64 entries
     count half; the same-sector pairs are bounded by _sector_pair_bound. The
     build holds K t_2 + t_3 next to the mode moves, the eigenvectors of one
     sector size or the index tables of the last step."""
     k, lams = d * d, len(enumerate_partitions(n, d))
     rank, prev = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1)
     pairs, slots = _sector_pair_bound(d, n), min(n, k)
-    tables = pairs * (3 * slots + lams + 2) + (rank + 2 * k * prev) * (lams + 1)
-    # multiset_table and _power_step at every level symmetric_power visits
+    tables = pairs * (3 * slots + lams + 2) + (rank + 2 * k * prev) * (lams + 1) + rank
+    # multiset_table and _power_step (beta' and the row slots) at every level
     for m in range(1, n + 1):
-        tables += math.comb(k + m - 1, m) * (m + min(m, k) + 2) + k * math.comb(k + m - 2, m - 1)
+        tables += math.comb(k + m - 1, m) * (m + min(m, k) + 1)
     moves = cycle_moves_memory_entries(d, n)
     build = pairs + max(2 * slots * pairs, moves, (lams + 2) * pairs // 2)
     power = symmetric_power_memory_entries(k, n - 1) + pairs // 2 if n > 1 else 0
@@ -177,11 +181,11 @@ class _PassTables:
     v: np.ndarray  # (R, L + 1): every v_lambda, then phi
     diag: np.ndarray  # the pairs (alpha, alpha)
     # s = min(n, d^2) slots, one per distinct letter; the unused ones weigh 0
-    gamma_at: np.ndarray  # (P, s): Gamma_n[pair] sums Gamma_{n-1}.flat[gamma_at]
+    gamma_at: np.ndarray  # (P, s): Gamma_n[pair] sums G_{n-1}.flat[gamma_at]
     op_at: np.ndarray  # (P, s):   times op.flat[op_at]
-    weight: np.ndarray  # (P, s):  times weight
-    lift_v: np.ndarray  # (d^2, R_{n-1}, L + 1): W
-    drop_v: np.ndarray  # (d^2, R_{n-1} (L + 1)): Z
+    weight: np.ndarray  # (P, s):  times sqrt(alpha!) / sqrt(beta!)
+    lift_v: np.ndarray  # (R_{n-1}, L + 1, d^2): W
+    drop_v: np.ndarray  # (R_{n-1} (L + 1), d^2): Z
 
 
 def _weight_sectors(d: int, n: int) -> list[np.ndarray]:
@@ -218,8 +222,8 @@ def _isotypic_sectors(
     eigenvalue, and one contraction gives every E_lambda = U U^T over its
     label. Returns the Young indices, the pairs (alpha, beta) sector by
     sector, E on them (L, P), and the diagonal pairs. A move out of its
-    sector, an eigenvalue off every key, or tr E_lambda !=
-    weyl_dim(lambda, d)^2 is an InvariantError.
+    sector, an eigenvalue off every key, or tr E_lambda away from
+    weyl_dim(lambda, d)^2 (_check_projector_trace) is an InvariantError.
     """
     groups = _weight_sectors(d, n)
     rank = len(root)
@@ -264,11 +268,18 @@ def _isotypic_sectors(
             f"{rank - placed} eigenvalues of K t_2 + t_3 lie off every Young key (d={d}, n={n})"
         )
     for lam, tr in zip(key, traces):
-        if abs(tr - weyl_dim(lam, d) ** 2) > TRACE_TOL:
-            raise InvariantError(
-                f"tr E_{lam} = {float(tr)!r}, expected {weyl_dim(lam, d) ** 2} (d={d}, n={n})"
-            )
+        _check_projector_trace(lam, float(tr), d, n)
     return tuple(key), pairs, e, diag
+
+
+def _check_projector_trace(lam: Partition, trace: float, d: int, n: int) -> None:
+    """tr E_lambda must be weyl_dim(lambda, d)^2. A mislabelled eigenvector
+    moves the trace by a whole 1, while the float error grows with the
+    trace, so the bound is TRACE_TOL weyl_dim(lambda, d)^2: at most 7.7e-4
+    at every size the default memory cap admits ((23, 2) has the largest)."""
+    expected = weyl_dim(lam, d) ** 2
+    if abs(trace - expected) > TRACE_TOL * expected:
+        raise InvariantError(f"tr E_{lam} = {trace!r}, expected {expected} (d={d}, n={n})")
 
 
 @lru_cache(maxsize=None)
@@ -278,19 +289,23 @@ def _pass_tables(d: int, n: int) -> _PassTables:
 
     On top of _isotypic_sectors: v_lambda = E_lambda phi, phi = V^T vec(I)
     holding sqrt(N_gamma) on the multisets of diagonal modes (a, a), and
-    the last step of symmetric_power (see _power_step) cut down to what the
-    pass reads of Gamma_n:
+    the last step of the monomial-frame power (see _power_step) cut down to
+    what the pass reads of Gamma_n. The pass holds G_{n-1} = C Gamma_{n-1}
+    C^{-1}, C = diag(1 / sqrt(alpha!)) (see symmetric_power); the similarity
+    rides in these tables, which the pass multiplies anyway:
 
-      Gamma_n[alpha, beta] = sum_p Gamma_{n-1}.flat[gamma_at] op.flat[op_at] weight
+      Gamma_n[alpha, beta] = sum_p G_{n-1}.flat[gamma_at] op.flat[op_at] weight,
+      weight = sqrt(alpha!) / sqrt(beta!) on the live slots,
 
     over the same-sector pairs, p running over the distinct letters of
     alpha, and
 
-      v^T Gamma_n v = sum W o Re(Gamma_{n-1} Y_j),  Y = op Z,
-      W[j, alpha'] = sqrt(alpha'_j + 1) v[alpha' + e_j],
-      Z[f, beta'] = v[beta] / sqrt(beta_f),  beta = beta' + e_f, f its smallest mode:
+      v^T Gamma_n v = sum W o Re(G_{n-1} Y),  Y = Z op^T,
+      W[alpha', j] = sqrt(alpha!) v[alpha],  alpha = alpha' + e_j,
+      Z[beta', f] = v[beta] / sqrt(beta!),  beta = beta' + e_f, f its smallest mode:
 
-    letter first, so that Y and every Gamma_{n-1} Y_j are matrix products.
+    letter last, so that Y and G_{n-1} Y, over every v and letter at once,
+    are two matrix products.
     """
     k = d * d
     root = np.sqrt(multiset_arrangements(k, n))
@@ -301,15 +316,16 @@ def _pass_tables(d: int, n: int) -> _PassTables:
     v = np.stack(
         [np.bincount(pairs[0], row * phi[pairs[1]], len(phi)) for row in e] + [phi], axis=1
     )
-    prime, low, col_scale, lift, rows = _power_step(k, n)
+    prime, low, rows = _power_step(k, n)
+    fact, prev = _root_factorials(k, n), math.comb(k + n - 2, n - 1)
     alpha, beta = pairs
     drop = rows[alpha]
-    live = np.nonzero(rows < lift.size)
+    live = np.nonzero(rows < k * prev)
     gathered = rows[live]  # every step row (alpha', j) once, from alpha = live[0]
-    lift_v = np.zeros((k, len(lift), v.shape[1]))
-    lift_v[gathered % k, gathered // k] = lift.ravel()[gathered, None] * v[live[0]]
+    lift_v = np.zeros((prev, v.shape[1], k))
+    lift_v[gathered // k, :, gathered % k] = fact[live[0], None] * v[live[0]]
     drop_v = np.zeros_like(lift_v)
-    drop_v[low, prime] = col_scale[:, None] * v
+    drop_v[prime, :, low] = v / fact[:, None]
     tables = _PassTables(
         partitions=partitions,
         d_lambda=tuple(hook_dim(lam) for lam in partitions),
@@ -318,12 +334,12 @@ def _pass_tables(d: int, n: int) -> _PassTables:
         e=e,
         v=v,
         diag=diag,
-        # the sentinel slots weigh 0; any entry of Gamma_{n-1} will do
-        gamma_at=np.minimum(drop // k * len(lift) + prime[beta, None], len(lift) ** 2 - 1),
+        # the sentinel slots weigh 0; any entry of G_{n-1} will do
+        gamma_at=np.minimum(drop // k * prev + prime[beta, None], prev * prev - 1),
         op_at=drop % k * k + low[beta, None],
-        weight=np.append(lift.ravel(), 0.0)[drop] * col_scale[beta, None],
+        weight=np.where(drop < k * prev, (fact[alpha] / fact[beta])[:, None], 0.0),
         lift_v=lift_v,
-        drop_v=drop_v.reshape(k, -1),
+        drop_v=drop_v.reshape(-1, k),
     )
     for value in vars(tables).values():
         if isinstance(value, np.ndarray):
@@ -332,8 +348,9 @@ def _pass_tables(d: int, n: int) -> _PassTables:
 
 
 def _previous_level(op: np.ndarray, n: int) -> np.ndarray:
-    """Gamma_{n-1} = Sym^{n-1}(op), with Gamma_0 = [[1]]; capped by the pass."""
-    return symmetric_power(op, n - 1, None) if n > 1 else np.ones((1, 1))
+    """G_{n-1}, Sym^{n-1}(op) in the monomial frame (see _pass_tables), with
+    G_0 = [[1]]; capped by the pass."""
+    return _monomial_power(op, n - 1) if n > 1 else np.ones((1, 1))
 
 
 def _n_copy_pass(
@@ -342,8 +359,9 @@ def _n_copy_pass(
     """The block statistics, the direct optimal acceptance Tr Re Gamma and
     phi^T Gamma^R phi, which must equal (Tr rho)^n.
 
-    Only Gamma_{n-1} of rho and of rho^R are formed; their last step is
-    taken through the tables of _pass_tables. vals holds Re Gamma_n on the
+    Only G_{n-1} of rho and of rho^R are formed, in the monomial frame;
+    their last step, and the similarity back to Gamma_n, are taken through
+    the tables of _pass_tables. vals holds Re Gamma_n on the
     same-sector pairs, so p_opt sums its diagonal pairs and
     m_lambda = sum E_lambda vals (E_lambda is real symmetric). The memory
     cap is checked once, before any work, against pass_memory_entries.
@@ -358,8 +376,8 @@ def _n_copy_pass(
     del gamma
     rho_r = rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
     gamma = _previous_level(rho_r, n)
-    y = (rho_r @ t.drop_v).reshape(t.lift_v.shape)
-    mass = np.einsum("jal,jal->l", t.lift_v, (gamma @ y).real)
+    y = (t.drop_v @ rho_r.T).reshape(len(gamma), -1)
+    mass = np.einsum("alj,alj->l", t.lift_v, (gamma @ y).real.reshape(t.lift_v.shape))
     del gamma
     m = t.e @ vals
     out = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -149,11 +149,22 @@ def build_state(spec: StateSpec) -> np.ndarray:
 
 @dataclass
 class StateAnalysis:
+    """What analyze finds of rho; schmidt_probs is computed when read."""
+
     spectrum: np.ndarray
     p1: float
     purity: float
     is_pure: bool
-    schmidt_probs: np.ndarray | None
+    rho: np.ndarray = field(repr=False)
+    d: int
+
+    @property
+    def schmidt_probs(self) -> np.ndarray | None:
+        """The squared Schmidt coefficients of a pure rho, non-increasing: the
+        spectrum of its reduced state; None for a mixed one."""
+        if not self.is_pure:
+            return None
+        return np.sort(np.linalg.eigvalsh(partial_trace_b(self.rho, self.d)))[::-1]
 
 
 def partial_trace_b(rho: np.ndarray, d: int) -> np.ndarray:
@@ -162,22 +173,20 @@ def partial_trace_b(rho: np.ndarray, d: int) -> np.ndarray:
 
 
 def analyze(rho: np.ndarray, d: int) -> StateAnalysis:
-    """Spectrum (non-increasing), largest eigenvalue, purity, Schmidt data."""
+    """Spectrum (non-increasing), largest eigenvalue, purity, and the
+    Schmidt data of a copy of rho, which are computed when read."""
     dim = d * d
     if rho.shape != (dim, dim):
         raise ValidationError(f"expected a {dim} x {dim} matrix, got {rho.shape}")
     spectrum = np.sort(np.linalg.eigvalsh(rho))[::-1]
     purity = float((abs(rho) ** 2).sum())
-    is_pure = purity >= PURITY_PURE_THRESHOLD
-    schmidt = None
-    if is_pure:
-        schmidt = np.sort(np.linalg.eigvalsh(partial_trace_b(rho, d)))[::-1]
     return StateAnalysis(
         spectrum=spectrum,
         p1=float(spectrum[0]),
         purity=purity,
-        is_pure=is_pure,
-        schmidt_probs=schmidt,
+        is_pure=purity >= PURITY_PURE_THRESHOLD,
+        rho=rho.copy(),
+        d=d,
     )
 
 

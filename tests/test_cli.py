@@ -1,9 +1,12 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
+from locc_purity import cli
 from locc_purity.cli import SWEEP_COLUMNS, parse_region, run
 from locc_purity.errors import ValidationError
 from locc_purity.protocol import pass_memory_entries
@@ -348,3 +351,35 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "(2,0)" in proc.stdout
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
+    # run() builds the argparse tree once per process; later commands, a
+    # rejected one and --help must print what a fresh process prints
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    monkeypatch.setattr(cli, "_parser", None)
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    argvs = [
+        ["dims", "--n", "3", "--d", "2"],
+        ["chars", "--n", "3", "--format", "csv"],
+        ["dims", "--n", "3"],
+        ["dims", "--n", "3", "--d", "2", "--bogus"],
+        ["test", "--help"],
+    ]
+    codes = []
+    for argv in argvs:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "locc_purity.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert codes == [0, 0, 2, 2, 0]
+    assert built == [1]

@@ -400,6 +400,7 @@ def test_pass_memory_estimate_covers_the_table_build(d, n):
     run_test(rho, d, 1)
     protocol._pass_tables.cache_clear()
     tensorops._power_step.cache_clear()
+    tensorops._root_factorials.cache_clear()
     tensorops.multiset_table.cache_clear()
     tracemalloc.start()
     try:

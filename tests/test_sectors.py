@@ -3,6 +3,7 @@ against the chain route: E_lambda = V^T (P_lambda x I) V, v_lambda =
 V^T vec(P_lambda), the k-cycle class sums as mode moves, and closed forms
 for product states at sizes the chain route cannot reach."""
 
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,10 +13,11 @@ import pytest
 
 from locc_purity import protocol
 from locc_purity.errors import InvariantError
-from locc_purity.partitions import hook_dim, schur_polynomial, weyl_dim
-from locc_purity.protocol import _pass_tables, block_statistics
+from locc_purity.partitions import enumerate_partitions, hook_dim, schur_polynomial, weyl_dim
+from locc_purity.protocol import _pass_tables, block_statistics, pass_memory_entries
 from locc_purity.schurweyl import build_projector_set, chain_to_copy_index, class_sum_keys
 from locc_purity.tensorops import (
+    DEFAULT_MEMORY_CAP,
     cycle_class_sum,
     cycle_moves_memory_entries,
     k_cycles,
@@ -214,13 +216,13 @@ def test_import_builds_no_table():
         "states.spec_from_json('{\"d\": 2, \"kind\": \"random_mixed\", \"seed\": 1}')\n"
         "caches = [protocol._pass_tables, protocol.pass_memory_entries, tensorops._power_step,\n"
         "          tensorops.multiset_table, tensorops._digit_table, tensorops._radix_weights,\n"
-        "          tensorops._rotation_classes]\n"
+        "          tensorops._rotation_classes, tensorops._root_factorials]\n"
         "print([c.cache_info().currsize for c in caches])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0,", "0]"]
+    assert out.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0,", "0,", "0]"]
 
 
 def test_a_move_out_of_its_sector_is_loud(monkeypatch):
@@ -249,3 +251,34 @@ def test_a_projector_of_the_wrong_trace_is_loud(monkeypatch):
     monkeypatch.setattr(protocol, "weyl_dim", lambda lam, d: weyl_dim(lam, d) + 1)
     with pytest.raises(InvariantError, match=r"tr E_"):
         protocol._pass_tables.__wrapped__(2, 4)
+
+
+def test_pass_tables_build_at_d8_n3():
+    # tr E_(2,1) = 28224 here, which an absolute 1e-8 bound failed on
+    # float noise alone (28224.00000001573)
+    t = _pass_tables(8, 3)
+    assert [weyl_dim(lam, 8) ** 2 for lam in t.partitions] == [14400, 28224, 3136]
+    np.testing.assert_allclose(t.e.sum(axis=0), t.pairs[0] == t.pairs[1], rtol=0, atol=1e-12)
+
+
+def test_a_trace_off_by_one_is_loud_at_every_admitted_size():
+    # a mislabelled eigenvector moves tr E_lambda by 1; the bound scales with
+    # the trace and must stay below 1 wherever the default cap lets a pass run
+    sizes = []
+    d = 2
+    while 16 * pass_memory_entries(d, 1) <= DEFAULT_MEMORY_CAP:
+        n = 1
+        while 16 * pass_memory_entries(d, n) <= DEFAULT_MEMORY_CAP:
+            sizes.append((d, n))
+            n += 1
+        d += 1
+    assert {(2, 30), (3, 7), (8, 3), (23, 2)} <= set(sizes)
+    assert (2, 31) not in sizes and (3, 8) not in sizes
+    for d, n in sizes:
+        lam = max(enumerate_partitions(n, d), key=lambda lam: weyl_dim(lam, d))
+        expected = weyl_dim(lam, d) ** 2
+        protocol._check_projector_trace(lam, expected * (1 + 1e-11), d, n)
+        for off in (-1, 1):
+            message = re.escape(f"tr E_{lam} = {expected + off}.0, expected {expected}")
+            with pytest.raises(InvariantError, match=message):
+                protocol._check_projector_trace(lam, float(expected + off), d, n)

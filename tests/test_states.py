@@ -37,6 +37,18 @@ def test_maximally_entangled_state():
     assert np.allclose(an.schmidt_probs, [0.5, 0.5], atol=1e-12)
 
 
+def test_schmidt_probs_are_computed_when_read(monkeypatch):
+    # run_test never reads them, so analyze diagonalizes rho alone
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    an = analyze(build_state(MAX_ENT_2), 2)
+    assert calls == [(4, 4)]
+    assert np.allclose(an.schmidt_probs, [0.5, 0.5], atol=1e-12)
+    assert calls == [(4, 4), (2, 2)]
+    assert analyze(build_state(MIXED_I4), 2).schmidt_probs is None
+
+
 def test_maximally_mixed_analysis():
     an = analyze(build_state(MIXED_I4), 2)
     assert np.allclose(an.spectrum, [0.25] * 4, atol=1e-12)

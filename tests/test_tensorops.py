@@ -6,7 +6,9 @@ import pytest
 
 from locc_purity.errors import MemoryCapError, ValidationError
 from locc_purity.tensorops import (
+    _monomial_power,
     _power_step,
+    _root_factorials,
     cycle_class_sum,
     frobenius,
     is_hermitian,
@@ -195,7 +197,8 @@ def test_symmetric_power_is_symmetric_basis_sandwich(d, n):
 @pytest.mark.parametrize("k,n", [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)])
 def test_symmetric_power_past_k_copies_is_the_sandwich(k, n):
     # with n > k every multiset repeats a letter, so its row leaves slots to
-    # the sentinel; a general complex op has no symmetry to hide a wrong lift
+    # the sentinel; a general complex op has no symmetry to hide a wrong
+    # similarity
     op = random_complex(k, np.random.default_rng(100 * k + n))
     v = symmetric_basis(k, n)
     want = v.T @ tensor_power(op, n) @ v
@@ -207,14 +210,14 @@ def test_symmetric_power_past_k_copies_is_the_sandwich(k, n):
 def test_power_step_gathers_each_distinct_letter_once(k, m):
     # row alpha lists (alpha - e_j, j) once per distinct letter j of alpha,
     # smallest first; its other slots hold the sentinel k R_{m-1}, the zero
-    # row appended to the step table; the lift of (alpha', j) is
-    # sqrt(alpha'_j + 1)
-    prime, low, col_scale, lift, rows = _power_step(k, m)
+    # row appended to the step table; column beta drops its smallest letter.
+    # No table weighs a row or a column: sqrt(alpha!) carries the frame
+    prime, low, rows = _power_step(k, m)
     prev, cur = multiset_table(k, m - 1), multiset_table(k, m)
     sentinel = k * len(prev)
     assert rows.shape == (len(cur), min(m, k))
-    assert lift.shape == (len(prev), k)
-    for alpha, row, beta_prime, f, scale in zip(cur, rows, prime, low, col_scale):
+    assert prime.shape == low.shape == (len(cur),)
+    for alpha, row, beta_prime, f, root in zip(cur, rows, prime, low, _root_factorials(k, m)):
         letters = sorted(set(alpha.tolist()))
         live = row[: len(letters)]
         assert (row[len(letters):] == sentinel).all()
@@ -222,11 +225,37 @@ def test_power_step_gathers_each_distinct_letter_once(k, m):
         for r in live.tolist():
             dropped, j = prev[r // k].tolist(), r % k
             assert sorted(dropped + [j]) == alpha.tolist()
-            assert lift[r // k, j] == math.sqrt(dropped.count(j) + 1)
         assert f == alpha[0] and prev[beta_prime].tolist() == alpha[1:].tolist()
-        assert scale == 1 / math.sqrt(alpha.tolist().count(f))
+        factorials = math.prod(math.factorial(alpha.tolist().count(j)) for j in letters)
+        assert root == math.sqrt(factorials)
     # every row of the step table is gathered by exactly one multiset
     assert np.array_equal(np.sort(rows[rows != sentinel]), np.arange(sentinel))
+
+
+def monomial_sandwich(op, n):
+    """C V^T op^{tensor n} V C^{-1}, C = diag(1 / sqrt(alpha!)), from the
+    dense oracles, with alpha! from the letter counts of multiset_table."""
+    k = op.shape[0]
+    root = np.array([
+        math.sqrt(math.prod(math.factorial(row.count(j)) for j in set(row)))
+        for row in multiset_table(k, n).tolist()
+    ])
+    v = symmetric_basis(k, n)
+    return (v.T @ tensor_power(op, n) @ v) / root[:, None] * root
+
+
+@pytest.mark.parametrize(
+    "k,n", [(k, n) for k in range(1, 5) for n in range(1, 6)] + [(9, n) for n in range(1, 4)]
+)
+def test_monomial_power_is_the_similar_sandwich(k, n):
+    # the recursion's frame, G = C Gamma C^{-1}, for a non-Hermitian op (as
+    # rho^R is): its entries span orders of magnitude, so each is held to
+    # the same power of |op|, a sum with no cancellation
+    op = random_complex(k, np.random.default_rng(1000 + 10 * k + n))
+    got = _monomial_power(op, n)
+    want, scale = monomial_sandwich(op, n), monomial_sandwich(np.abs(op), n)
+    assert got.shape == (math.comb(k + n - 1, n),) * 2
+    assert (np.abs(got - want) <= 1e-13 * scale).all()
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 3), (5, 2)])
