@@ -30,7 +30,6 @@ from .protocol import (
     slack_bound,
     tsuda_acceptance,
 )
-from .schurweyl import IsotypicProjectorSet, build_projector_set, young_projector
 from .states import (
     StateAnalysis,
     StateSpec,

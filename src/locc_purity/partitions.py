@@ -1,8 +1,9 @@
 """Young-index combinatorics.
 
 Partition enumeration, unitary/symmetric-group irrep dimensions, symmetric
-group characters, Schur and complete homogeneous polynomials, entropies, and
-the dimension/type-class bounds used by the acceptance-probability analysis.
+group characters and the central characters that key the Young indices,
+Schur and complete homogeneous polynomials, entropies, and the
+dimension/type-class bounds used by the acceptance-probability analysis.
 
 All combinatorial quantities (dimensions, characters) are exact Python
 integers; floats enter only at the probability layer.
@@ -207,6 +208,35 @@ def mn_character(lam: Partition, cycle_type: Partition) -> int:
     return _character(lam.parts, cycle_type.parts)
 
 
+def central_characters(lam: Partition) -> tuple[int, int]:
+    """(omega_2, omega_3): omega_k = |C_k| chi_lambda(C_k) / d_lambda is the
+    integer by which the k-cycle class sum acts on the lambda block.
+
+    The Jucys-Murphy elements act on the Young basis by the contents c = j - i
+    of the boxes (Okounkov-Vershik), and their power sums are the class
+    sums: T_2 = sum_i X_i and sum_i X_i^2 = C(n, 2) + T_3, so omega_2 = sum c
+    and omega_3 = sum c^2 - C(n, 2).
+    """
+    contents = [j - i for i, row in enumerate(lam.parts) for j in range(row)]
+    return sum(contents), sum(c * c for c in contents) - math.comb(lam.n, 2)
+
+
+def class_sum_keys(d: int, n: int) -> tuple[int, dict[Partition, int]]:
+    """(K, key): A = K T_2 + T_3, K = 2 max |omega_3| + 1, acts on the
+    lambda block as the integer key[lambda] = K omega_2 + omega_3, for every
+    Young index with at most d rows. Distinct (omega_2, omega_3) give keys at
+    least 1 apart; if two Young indices share a key, InvariantError."""
+    omega = {lam: central_characters(lam) for lam in enumerate_partitions(n, d)}
+    spread = 2 * max(abs(w3) for _, w3 in omega.values()) + 1
+    key = {lam: spread * w2 + w3 for lam, (w2, w3) in omega.items()}
+    if len(set(key.values())) < len(key):
+        raise InvariantError(
+            f"the 2- and 3-cycle central characters do not separate the Young "
+            f"indices (d={d}, n={n})"
+        )
+    return spread, key
+
+
 # ---------------------------------------------------------------------------
 # Symmetric polynomials
 # ---------------------------------------------------------------------------
@@ -269,6 +299,8 @@ def schur_polynomial(lam: Partition, p: Sequence[float]) -> float:
 
 
 def validate_probability_vector(q: Sequence[float], name: str = "q") -> None:
+    if not all(math.isfinite(x) for x in q):
+        raise ValidationError(f"{name} has non-finite entries: {tuple(q)}")
     if any(x < -PROB_SUM_TOL for x in q):
         raise ValidationError(f"{name} has negative entries: {tuple(q)}")
     if abs(sum(q) - 1.0) > PROB_SUM_TOL:
@@ -334,7 +366,9 @@ def type_region_bound(
     lambda/n satisfies the region predicate; rhs is
     (n+1)^(d(d+1)/2) * exp(-n * min D(q||p)) with the minimum taken over the
     region's normalized Young indices (the same finite grid as the lhs).
-    Every lambda takes s_lambda(p) from one branching memo.
+    Every lambda takes s_lambda(p) from one branching memo. A d_lambda too
+    large for a float multiplies s_lambda as an exact integer ratio, rounded
+    once.
     """
     validate_probability_vector(p, "p")
     if len(p) != d:
@@ -348,7 +382,12 @@ def type_region_bound(
         if not region(q):
             continue
         members += 1
-        lhs += hook_dim(lam) * schur(lam.padded(d))
+        d_lam, s_lam = hook_dim(lam), schur(lam.padded(d))
+        try:
+            lhs += d_lam * s_lam
+        except OverflowError:  # d_lambda is past the float range, d_lambda s_lambda is not
+            num, den = s_lam.as_integer_ratio()
+            lhs += d_lam * num / den
         d_min = min(d_min, kl_divergence(q, p))
     rhs = (n + 1) ** (d * (d + 1) / 2) * math.exp(-n * d_min)
     return TypeRegionCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs, d_min=d_min, n_members=members)

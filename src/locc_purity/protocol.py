@@ -32,8 +32,9 @@ C Gamma_{n-1} C^{-1}, C = diag(1 / sqrt(alpha!)), so one pass per n
 state-independent tables (_pass_tables) are built once per (d, n) on first
 use. Three independent routes to the optimal acceptance (Tr Gamma, sum of
 m_lambda, complete homogeneous polynomial of the spectrum) must agree, and
-phi^T Gamma^R phi must equal (Tr rho)^n. The chain projectors and the dense
-operators in tensorops, states and schurweyl remain as test oracles.
+phi^T Gamma^R phi must equal (Tr rho)^n. The chain projectors P_lambda
+are test oracles only (tests/oracles.py), as are the dense operators left
+in tensorops and states.
 """
 
 from __future__ import annotations
@@ -45,8 +46,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvariantError, MemoryCapError, ValidationError
-from .partitions import Partition, complete_homogeneous, enumerate_partitions, hook_dim, weyl_dim
-from .schurweyl import TRACE_TOL, class_sum_keys
+from .partitions import (
+    Partition,
+    class_sum_keys,
+    complete_homogeneous,
+    enumerate_partitions,
+    hook_dim,
+    weyl_dim,
+)
 from .states import StateSpec, analyze, build_state
 from .tensorops import (
     DEFAULT_MEMORY_CAP,
@@ -65,6 +72,7 @@ from .tensorops import (
 
 ORACLE_TOL = 1e-8
 SANDWICH_TOL = 1e-9
+TRACE_TOL = 1e-8  # relative, on tr E_lambda (see _check_projector_trace)
 # Below this mass a block is treated as unpopulated: its fidelity is
 # undefined (None) and it contributes nothing to the LOCC acceptance.
 ZERO_BLOCK_TOL = 1e-14

@@ -95,6 +95,8 @@ def validate_spec(spec: StateSpec) -> None:
             raise ValidationError(f"schmidt: must be an array of reals, got {p!r}")
         if len(p) != spec.d:
             raise ValidationError(f"schmidt: expected {spec.d} entries, got {len(p)}")
+        if not all(math.isfinite(x) for x in p):
+            raise ValidationError(f"schmidt: entries must be finite, got {p}")
         if any(x < 0 for x in p):
             raise ValidationError(f"schmidt: entries must be non-negative, got {p}")
         if abs(sum(p) - 1.0) > 1e-12:
@@ -114,6 +116,8 @@ def _validate_density_matrix(rho: np.ndarray, d: int, key: str = "matrix") -> No
     dim = d * d
     if rho.shape != (dim, dim):
         raise ValidationError(f"{key}: expected shape {(dim, dim)}, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValidationError(f"{key}: entries must be finite")
     if np.linalg.norm(rho - rho.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(rho)):
         raise ValidationError(f"{key}: not Hermitian")
     eigs = np.linalg.eigvalsh(rho)

@@ -4,20 +4,21 @@ Index convention: basis states of (C^k)^{tensor n} carry mixed-radix digit
 strings (i_1, ..., i_n), most significant digit first, so the flat basis
 index is sum_m i_m * k^(n-m). Copy permutations act on digit positions.
 
-No code here visits the n! permutations. The k-cycle class sums T_k are one
-gather over the O(n^k) cycles; the symmetrizer and the symmetric basis are
-filled from the letter counts of the basis indices, which multiset_rank
-turns into rows of multiset_table, exactly in int64. All of them are
-real test oracles. On the protocol path, symmetric_power gives
-op^{tensor n} on the symmetric subspace as an R x R matrix,
-R = C(k+n-1, n), by a recursion over multiset tables that gathers one
-row per distinct letter, at most k per level. The recursion runs in the
-monomial frame G = C Gamma C^{-1}, C = diag(1 / sqrt(alpha!)), where an
-entry is a permanent of op over alpha!, so no level scales a row or a
-column; the protocol contracts G itself and symmetric_power applies C once
-at the end. multiset_cycle_moves gives chain A's k-cycle class sums on
-Sym^n(C^d x C^d) as moves of its occupied modes, at most min(n, d^2) per
-multiset, with no cycle and no sort of the n letters.
+No code here visits the n! permutations. The symmetrizer and the symmetric
+basis are filled from the letter counts of the basis indices, which
+multiset_rank turns into rows of multiset_table, exactly in int64. They,
+kron, perm_operator and trace_product are test oracles, off the protocol
+path; the chain class sums T_k are one too, in tests/oracles.py. On the
+protocol path, symmetric_power gives op^{tensor n} on the symmetric
+subspace as an R x R matrix, R = C(k+n-1, n), by a recursion over
+multiset tables that gathers one row per distinct letter, at most k per
+level. The recursion runs in the monomial frame G = C Gamma C^{-1},
+C = diag(1 / sqrt(alpha!)), where an entry is a permanent of op over
+alpha!, so no level scales a row or a column; the protocol contracts G
+itself and symmetric_power applies C once at the end. multiset_cycle_moves
+gives chain A's k-cycle class sums on Sym^n(C^d x C^d) as moves of its
+occupied modes, at most min(n, d^2) per multiset, with no cycle and no sort
+of the n letters.
 
 Every dense allocation is gated by a memory cap (default 2 GiB); exceeding
 it raises MemoryCapError with the computed estimate instead of crashing.
@@ -25,7 +26,6 @@ it raises MemoryCapError with the computed estimate instead of crashing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import Sequence
@@ -126,39 +126,6 @@ def perm_operator(
     op = np.zeros((dim, dim), dtype=complex)
     op[y, np.arange(dim)] = 1.0
     return op
-
-
-def k_cycles(n: int, k: int) -> np.ndarray:
-    """Every k-cycle of S_n once, as its points in cycle order from the
-    smallest: a (#cycles, k) table, with no rows when k > n."""
-    cycles = [c for c in itertools.permutations(range(n), k) if c[0] == min(c)]
-    return np.array(cycles, dtype=np.int64).reshape(-1, k)
-
-
-def cycle_class_sum(
-    local_dim: int, n: int, k: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
-) -> np.ndarray:
-    """T_k = sum of U(sigma) over the k-cycles sigma of S_n, a real
-    (local_dim^n, local_dim^n) matrix with integer entries; zero when k > n.
-
-    The cycle c_0 -> c_1 -> ... -> c_0 adds digit_{c_j} * (w[c_{j+1}] - w[c_j])
-    to a basis index: one gather of the digit table over the cycles gives
-    every image, and one bincount drops them into the matrix. The memory cap
-    covers the int64 counts and their float copy.
-    """
-    if local_dim < 1 or n < 1 or k < 2:
-        raise ValidationError(f"need local_dim, n >= 1 and k >= 2, got {local_dim}, {n}, {k}")
-    dim = local_dim**n
-    check_memory_cap(dim * dim, memory_cap, f"{k}-cycle class sum of dimension {dim}")
-    if k > n:
-        return np.zeros((dim, dim))
-    cycles = k_cycles(n, k)
-    weights = _radix_weights(local_dim, n)
-    step = weights[cycles[:, (np.arange(k) + 1) % k]] - weights[cycles]
-    x = np.arange(dim)[:, None]
-    images = x + np.einsum("xcj,cj->xc", _digit_table(local_dim, n)[:, cycles], step)
-    counts = np.bincount((images * dim + x).ravel(), minlength=dim * dim)
-    return counts.reshape(dim, dim).astype(float)
 
 
 def _multisets(local_dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -470,25 +437,6 @@ def symmetric_power(
     gamma *= root[:, None]
     gamma /= root
     return gamma
-
-
-# ---------------------------------------------------------------------------
-# Small checks shared by projector-building code and tests
-# ---------------------------------------------------------------------------
-
-
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    return frobenius(a - a.conj().T) <= tol * max(1.0, frobenius(a))
-
-
-def is_projector(a: np.ndarray, tol: float = 1e-10) -> bool:
-    if not is_hermitian(a, tol):
-        return False
-    return frobenius(a @ a - a) <= tol * max(1.0, frobenius(a))
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:

@@ -19,11 +19,10 @@ from locc_purity.partitions import (
     weyl_dim,
 )
 from locc_purity.protocol import block_statistics, exponent_series, p_opt, p_star, slack_bound
-from locc_purity.schurweyl import build_projector_set, sym_projector_bipartite
 from locc_purity.states import StateSpec, build_state
-from locc_purity.tensorops import frobenius, is_hermitian
+from locc_purity.tensorops import symmetrizer
 
-from oracles import verify_block_structure
+from oracles import build_projector_set, frobenius, is_hermitian, verify_block_structure
 
 I4 = StateSpec(d=2, kind="density_matrix", matrix=np.eye(4) / 4)
 I4_JSON = json.dumps(
@@ -59,12 +58,12 @@ def test_criterion_02_projector_suite():
     tol = 1e-8
     for d in (2, 3):
         for n in range(1, 5):
-            s = build_projector_set(d, n, verify=False)
+            s = build_projector_set(d, n)
             dim = d**n
             total = np.zeros((dim, dim), dtype=complex)
-            parts = s.partitions
+            parts = list(s)
             for lam in parts:
-                p = s.projectors[lam]
+                p = s[lam]
                 assert is_hermitian(p, tol), (d, n, lam, "hermitian")
                 assert frobenius(p @ p - p) <= tol, (d, n, lam, "idempotent")
                 expected = weyl_dim(lam, d) * hook_dim(lam)
@@ -73,7 +72,7 @@ def test_criterion_02_projector_suite():
             assert frobenius(total - np.eye(dim)) <= tol, (d, n, "completeness")
             for i, lam in enumerate(parts):
                 for mu in parts[i + 1 :]:
-                    assert frobenius(s.projectors[lam] @ s.projectors[mu]) <= tol, (
+                    assert frobenius(s[lam] @ s[mu]) <= tol, (
                         d, n, lam, mu, "orthogonality",
                     )
     elapsed = time.perf_counter() - t0
@@ -86,12 +85,12 @@ def test_criterion_03_block_structure():
     d = 2
     for n in range(1, 4):
         s = build_projector_set(d, n)
-        pi = sym_projector_bipartite(d, n)
-        rep = verify_block_structure(s, s, pi)
-        for lam in s.partitions:
+        pi = symmetrizer(d * d, n)
+        rep = verify_block_structure(d, n, s, s, pi)
+        for lam in s:
             assert abs(rep.block_traces[lam] - weyl_dim(lam, d) ** 2) <= 1e-6, (n, lam)
         assert rep.max_cross_block <= 1e-8, n
-        total = sum(weyl_dim(lam, d) ** 2 for lam in s.partitions)
+        total = sum(weyl_dim(lam, d) ** 2 for lam in s)
         assert total == math.comb(d * d + n - 1, n), n
         assert abs(rep.trace_total - total) <= 1e-6, n
     elapsed = time.perf_counter() - t0

@@ -327,6 +327,24 @@ def test_bad_flag_values_exit_2(capsys):
     assert run(["bounds", "--d", "2", "--n-max", "3", "--p", "0.5,0.4"]) == 2
 
 
+def test_nan_schmidt_coefficients_exit_2(capsys):
+    bad = '{"d": 2, "kind": "pure_schmidt", "schmidt": [NaN, NaN]}'
+    assert run(["test", "--d", "2", "--n", "3", "--state", bad]) == 2
+    assert "schmidt" in capsys.readouterr().err
+
+
+def test_nan_density_matrix_entry_exits_2(capsys):
+    spec = json.loads(I4_SPEC)
+    spec["matrix"][1][2] = [math.nan, 0.0]
+    assert run(["test", "--d", "2", "--n", "3", "--state", json.dumps(spec)]) == 2
+    assert "matrix" in capsys.readouterr().err
+
+
+def test_nan_bounds_probabilities_exit_2(capsys):
+    assert run(["bounds", "--d", "2", "--n-max", "3", "--p", "nan,nan"]) == 2
+    assert "p has non-finite entries" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     import subprocess
     import sys

@@ -8,6 +8,7 @@ polynomials, and character orthogonality.
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -548,6 +549,19 @@ def test_type_region_tail_at_n60_matches_exact():
     )
     assert tc.lhs == pytest.approx(float(exact), rel=1e-12, abs=0)
     assert tc.holds
+
+
+def test_type_region_survives_d_lambda_past_the_float_range():
+    # n = 1035 is the first d = 2 size with a d_lambda past the largest float;
+    # at p = (1/2, 1/2), s_lambda = (lambda_1 - lambda_2 + 1) 2^-1035 is exact
+    # though subnormal, and the lhs over every type is (p_1 + p_2)^n = 1
+    n, p = 1035, (0.5, 0.5)
+    parts = enumerate_partitions(n, 2)
+    assert max(hook_dim(lam) for lam in parts) > sys.float_info.max
+    lam = parts[len(parts) // 2]
+    assert schur_polynomial(lam, p) == (lam[0] - lam[1] + 1) * 2.0**-n
+    tc = type_region_bound(lambda q: True, p, n, 2)
+    assert abs(tc.lhs - 1.0) <= 1e-12
 
 
 def test_type_region_lhs_is_the_per_lambda_schur_sum():

@@ -28,8 +28,10 @@ from locc_purity.protocol import (
     slack_bound,
     tsuda_acceptance,
 )
-from locc_purity.schurweyl import ab_block_projector, build_projector_set, sym_projector_bipartite
 from locc_purity.states import StateSpec, analyze, build_state, tensor_power
+from locc_purity.tensorops import symmetrizer
+
+from oracles import ab_block_projector, build_projector_set
 
 MAX_ENT_2 = StateSpec(d=2, kind="pure_schmidt", schmidt=(0.5, 0.5))
 MIXED_I4 = StateSpec(d=2, kind="density_matrix", matrix=np.eye(4) / 4)
@@ -39,10 +41,10 @@ def brute_force_blocks(rho, d, n):
     """p_lambda and m_lambda via dense matrix products only."""
     rho_n = tensor_power(rho, n)
     chain = build_projector_set(d, n)
-    pi = sym_projector_bipartite(d, n)
+    pi = symmetrizer(d * d, n)
     out = {}
     for lam in enumerate_partitions(n, d):
-        q = ab_block_projector(chain.projectors[lam], chain.projectors[lam], d, n)
+        q = ab_block_projector(chain[lam], chain[lam], d, n)
         p_lam = (rho_n @ q).trace().real
         m_lam = (rho_n @ q @ pi @ q).trace().real
         out[lam] = (p_lam, m_lam)
@@ -156,7 +158,7 @@ def test_blocks_sum_m_equals_sym_overlap():
         for n in (2, 3):
             blocks = block_statistics(rho, 2, n)
             rho_n = tensor_power(rho, n)
-            pi = sym_projector_bipartite(2, n)
+            pi = symmetrizer(4, n)
             direct = (rho_n @ pi).trace().real
             assert sum(b.m_lambda for b in blocks) == pytest.approx(direct, abs=1e-9)
 

@@ -1,29 +1,36 @@
+"""The chain-projector oracle of oracles.py (P_lambda on (C^d)^{tensor n},
+the chain-to-copy layouts and the blocks of the symmetric projector on the
+doubled chain) and the central characters of partitions that key it."""
+
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from locc_purity import schurweyl
-from locc_purity.errors import InvariantError, MemoryCapError, ValidationError
-from locc_purity.partitions import Partition, enumerate_partitions, hook_dim, mn_character, weyl_dim
-from locc_purity.schurweyl import (
-    ab_block_projector,
-    build_projector_set,
+import oracles
+from locc_purity import partitions
+from locc_purity.errors import InvariantError, ValidationError
+from locc_purity.partitions import (
+    Partition,
     central_characters,
-    chain_interleave_permutation,
-    chain_to_copy_index,
-    projector_set_memory_entries,
-    sym_projector_bipartite,
-    to_copy_major,
-    young_projector,
+    enumerate_partitions,
+    hook_dim,
+    mn_character,
+    weyl_dim,
 )
-from locc_purity.tensorops import frobenius, is_projector, symmetrizer
+from locc_purity.tensorops import symmetrizer
 
 from oracles import (
     ORACLE_CASES,
+    ab_block_projector,
+    build_projector_set,
+    chain_interleave_permutation,
+    chain_to_copy_index,
     chain_to_copy_operator,
     class_sum_loop,
+    frobenius,
+    is_projector,
+    to_copy_major,
     verify_block_structure,
 )
 
@@ -41,12 +48,12 @@ def random_unitary(dim, rng):
 
 def test_full_row_projector_is_symmetrizer():
     for d, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        p = young_projector(Partition((n,)), d, n)
+        p = build_projector_set(d, n)[Partition((n,))]
         assert np.allclose(p, symmetrizer(d, n), atol=1e-12)
 
 
 def test_singlet_projector():
-    p = young_projector(Partition((1, 1)), 2, 2)
+    p = build_projector_set(2, 2)[Partition((1, 1))]
     assert is_projector(p, 1e-12)
     assert p.trace().real == pytest.approx(1.0, abs=1e-12)
     singlet = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
@@ -54,7 +61,7 @@ def test_singlet_projector():
 
 
 def test_mixed_symmetry_projector_trace():
-    p = young_projector(Partition((2, 1)), 2, 3)
+    p = build_projector_set(2, 3)[Partition((2, 1))]
     assert p.trace().real == pytest.approx(4.0, abs=1e-10)
 
 
@@ -65,8 +72,7 @@ def test_young_projectors_match_permutation_loop(d, n):
     built = build_projector_set(d, n)
     for lam in enumerate_partitions(n, d):
         want = class_sum_loop(d, n, lambda mu: mn_character(lam, Partition(mu)), hook_dim(lam))
-        assert np.array_equal(young_projector(lam, d, n), want), lam
-        assert np.array_equal(built.projectors[lam], want), lam
+        assert np.array_equal(built[lam], want), lam
 
 
 def test_central_characters_separate_young_indices():
@@ -102,13 +108,13 @@ def test_central_characters_match_murnaghan_nakayama():
 
 
 def test_projector_build_rejects_unseparated_indices(monkeypatch):
-    monkeypatch.setattr(schurweyl, "central_characters", lambda lam: (0, 0))
+    monkeypatch.setattr(partitions, "central_characters", lambda lam: (0, 0))
     with pytest.raises(InvariantError, match="separate"):
         build_projector_set(2, 2)
 
 
 def test_projector_build_rejects_unsnapped_projector(monkeypatch):
-    monkeypatch.setattr(schurweyl, "SNAP_TOL", -1.0)
+    monkeypatch.setattr(oracles, "SNAP_TOL", -1.0)
     with pytest.raises(InvariantError, match="integer matrix"):
         build_projector_set(2, 2)
 
@@ -119,45 +125,16 @@ def test_projector_set_rejects_bad_sizes(d, n):
         build_projector_set(d, n)
 
 
-def test_projector_set_memory_cap():
-    with pytest.raises(MemoryCapError, match="projector set"):
-        build_projector_set(4, 6, memory_cap=1_000_000)
-    with pytest.raises(MemoryCapError, match="projector set"):
-        young_projector(Partition((6,)), 4, 6, memory_cap=1_000_000)
-
-
-@pytest.mark.parametrize("d,n", [(2, 6), (2, 7), (3, 4), (3, 5)])
-def test_projector_set_memory_estimate_bounds_traced_peak(d, n):
-    # the up-front estimate must cover the real peak, and not by more than
-    # a factor 2; the first call warms the digit-table cache
-    build_projector_set(d, n)
-    tracemalloc.start()
-    try:
-        build_projector_set(d, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    estimate = 16 * projector_set_memory_entries(d, n)
-    assert peak <= estimate <= 2 * peak
-
-
-def test_young_projector_rejects_bad_shape():
-    with pytest.raises(ValidationError):
-        young_projector(Partition((2, 1)), 2, 2)  # wrong weight
-    with pytest.raises(ValidationError):
-        young_projector(Partition((1, 1, 1)), 2, 3)  # too many rows
-
-
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_projector_set_invariants(d, n):
-    s = build_projector_set(d, n)  # build-time verification is on
+    s = build_projector_set(d, n)  # verified before it returns
     dim = d**n
     total = np.zeros((dim, dim), dtype=complex)
-    parts = s.partitions
+    parts = list(s)
     assert parts == enumerate_partitions(n, d)
     for lam in parts:
-        p = s.projectors[lam]
+        p = s[lam]
         assert is_projector(p, 1e-10)
         expected = weyl_dim(lam, d) * hook_dim(lam)
         assert p.trace().real == pytest.approx(expected, abs=1e-8)
@@ -165,16 +142,16 @@ def test_projector_set_invariants(d, n):
     assert np.allclose(total, np.eye(dim), atol=1e-10)
     for i, lam in enumerate(parts):
         for mu in parts[i + 1 :]:
-            assert frobenius(s.projectors[lam] @ s.projectors[mu]) < 1e-10
+            assert frobenius(s[lam] @ s[mu]) < 1e-10
 
 
 def test_projector_set_known_traces():
     s22 = build_projector_set(2, 2)
-    assert sorted(round(p.trace().real) for p in s22.projectors.values()) == [1, 3]
+    assert sorted(round(p.trace().real) for p in s22.values()) == [1, 3]
     s23 = build_projector_set(2, 3)
-    assert sorted(round(p.trace().real) for p in s23.projectors.values()) == [4, 4]
+    assert sorted(round(p.trace().real) for p in s23.values()) == [4, 4]
     s33 = build_projector_set(3, 3)
-    assert sum(p.trace().real for p in s33.projectors.values()) == pytest.approx(27, abs=1e-8)
+    assert sum(p.trace().real for p in s33.values()) == pytest.approx(27, abs=1e-8)
 
 
 def test_projectors_commute_with_collective_unitaries():
@@ -184,7 +161,7 @@ def test_projectors_commute_with_collective_unitaries():
         vn = v
         for _ in range(n - 1):
             vn = np.kron(vn, v)
-        for p in build_projector_set(d, n).projectors.values():
+        for p in build_projector_set(d, n).values():
             assert frobenius(p @ vn - vn @ p) < 1e-10
 
 
@@ -194,9 +171,10 @@ def test_projectors_commute_with_collective_unitaries():
 
 
 def test_sym_projector_bipartite_traces():
-    assert np.allclose(sym_projector_bipartite(2, 1), np.eye(4))
-    assert sym_projector_bipartite(2, 2).trace().real == pytest.approx(10, abs=1e-9)
-    assert sym_projector_bipartite(2, 3).trace().real == pytest.approx(20, abs=1e-9)
+    # the symmetric projector of the doubled chain permutes whole copies A_i B_i
+    assert np.allclose(symmetrizer(4, 1), np.eye(4))
+    assert symmetrizer(4, 2).trace().real == pytest.approx(10, abs=1e-9)
+    assert symmetrizer(4, 3).trace().real == pytest.approx(20, abs=1e-9)
 
 
 def test_chain_interleave_permutation_layout():
@@ -256,23 +234,23 @@ def test_to_copy_major_rejects_wrong_shape():
 def test_block_structure_d2(n):
     d = 2
     s = build_projector_set(d, n)
-    pi = sym_projector_bipartite(d, n)
-    rep = verify_block_structure(s, s, pi)
+    pi = symmetrizer(d * d, n)
+    rep = verify_block_structure(d, n, s, s, pi)
     assert rep.ok
     assert rep.max_commutator < 1e-10
     assert rep.max_cross_block < 1e-10
-    for lam in s.partitions:
+    for lam in s:
         assert rep.block_traces[lam] == pytest.approx(weyl_dim(lam, d) ** 2, abs=1e-8)
     assert rep.trace_total == pytest.approx(math.comb(d * d + n - 1, n), abs=1e-8)
 
 
 def test_block_structure_known_traces():
     s = build_projector_set(2, 2)
-    rep = verify_block_structure(s, s, sym_projector_bipartite(2, 2))
+    rep = verify_block_structure(2, 2, s, s, symmetrizer(4, 2))
     assert rep.block_traces[Partition((2,))] == pytest.approx(9.0, abs=1e-9)
     assert rep.block_traces[Partition((1, 1))] == pytest.approx(1.0, abs=1e-9)
     s3 = build_projector_set(2, 3)
-    rep3 = verify_block_structure(s3, s3, sym_projector_bipartite(2, 3))
+    rep3 = verify_block_structure(2, 3, s3, s3, symmetrizer(4, 3))
     assert rep3.block_traces[Partition((3,))] == pytest.approx(16.0, abs=1e-9)
     assert rep3.block_traces[Partition((2, 1))] == pytest.approx(4.0, abs=1e-9)
 
@@ -280,10 +258,8 @@ def test_block_structure_known_traces():
 def test_cross_block_product_vanishes():
     d, n = 2, 2
     s = build_projector_set(d, n)
-    pi = sym_projector_bipartite(d, n)
-    q = ab_block_projector(
-        s.projectors[Partition((2,))], s.projectors[Partition((1, 1))], d, n
-    )
+    pi = symmetrizer(d * d, n)
+    q = ab_block_projector(s[Partition((2,))], s[Partition((1, 1))], d, n)
     assert frobenius(q @ pi) < 1e-10
 
 
@@ -292,9 +268,9 @@ def test_block_index_on_chain_a_fixes_chain_b(d, n):
     # Schur-Weyl duality on the symmetric subspace: measuring the Young index
     # on chain A already selects the same block on chain B
     s = build_projector_set(d, n)
-    pi = sym_projector_bipartite(d, n)
+    pi = symmetrizer(d * d, n)
     eye = np.eye(d**n)
-    for p in s.projectors.values():
+    for p in s.values():
         one_sided = ab_block_projector(p, eye, d, n) @ pi
         two_sided = ab_block_projector(p, p, d, n) @ pi
         assert frobenius(one_sided - two_sided) < 1e-10
@@ -304,7 +280,7 @@ def test_weyl_squares_sum_to_sym_dimension():
     for n in range(1, 5):
         total = sum(weyl_dim(lam, 2) ** 2 for lam in enumerate_partitions(n, 2))
         assert total == math.comb(4 + n - 1, n)
-        pi_trace = sym_projector_bipartite(2, n).trace().real
+        pi_trace = symmetrizer(4, n).trace().real
         assert pi_trace == pytest.approx(total, abs=1e-8)
 
 
@@ -314,7 +290,7 @@ def test_sym_projector_commutes_with_local_collective_unitaries():
     va, vb = random_unitary(d, rng), random_unitary(d, rng)
     local = np.kron(va, vb)
     w = np.kron(local, local)
-    pi = sym_projector_bipartite(d, n)
+    pi = symmetrizer(d * d, n)
     assert frobenius(pi @ w - w @ pi) < 1e-10
 
 
@@ -322,4 +298,4 @@ def test_verify_block_structure_rejects_mismatch():
     s2 = build_projector_set(2, 2)
     s3 = build_projector_set(2, 3)
     with pytest.raises(ValidationError):
-        verify_block_structure(s2, s3, sym_projector_bipartite(2, 2))
+        verify_block_structure(2, 2, s2, s3, symmetrizer(4, 2))

@@ -13,14 +13,17 @@ import pytest
 
 from locc_purity import protocol
 from locc_purity.errors import InvariantError
-from locc_purity.partitions import enumerate_partitions, hook_dim, schur_polynomial, weyl_dim
+from locc_purity.partitions import (
+    class_sum_keys,
+    enumerate_partitions,
+    hook_dim,
+    schur_polynomial,
+    weyl_dim,
+)
 from locc_purity.protocol import _pass_tables, block_statistics, pass_memory_entries
-from locc_purity.schurweyl import build_projector_set, chain_to_copy_index, class_sum_keys
 from locc_purity.tensorops import (
     DEFAULT_MEMORY_CAP,
-    cycle_class_sum,
     cycle_moves_memory_entries,
-    k_cycles,
     multiset_arrangements,
     multiset_cycle_moves,
     multiset_occupation,
@@ -29,7 +32,13 @@ from locc_purity.tensorops import (
     symmetric_basis,
 )
 
-from oracles import multiset_cycle_images
+from oracles import (
+    build_projector_set,
+    chain_to_copy_index,
+    cycle_class_sum,
+    k_cycles,
+    multiset_cycle_images,
+)
 
 # (d, n) at which the tables are compared entry for entry with the chain route
 CHAIN_CASES = [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 5)]
@@ -69,7 +78,7 @@ def swap_letters(d, n):
 def test_isotypic_sector_projectors_match_chain_route(d, n):
     t = _pass_tables(d, n)
     v_chain = chain_basis(d, n)
-    projectors = build_projector_set(d, n).projectors
+    projectors = build_projector_set(d, n)
     assert list(t.partitions) == list(projectors)
     for i, (lam, p) in enumerate(projectors.items()):
         np.testing.assert_allclose(dense(t, t.e[i]), sandwich(v_chain, p), rtol=0, atol=1e-12)

@@ -9,10 +9,6 @@ from locc_purity.tensorops import (
     _monomial_power,
     _power_step,
     _root_factorials,
-    cycle_class_sum,
-    frobenius,
-    is_hermitian,
-    is_projector,
     kron,
     perm_operator,
     multiset_occupation,
@@ -25,7 +21,15 @@ from locc_purity.tensorops import (
 )
 from locc_purity.states import StateSpec, build_state, tensor_power
 
-from oracles import ORACLE_CASES, class_sum_loop, symmetric_basis_loop
+from oracles import (
+    ORACLE_CASES,
+    class_sum_loop,
+    cycle_class_sum,
+    frobenius,
+    is_hermitian,
+    is_projector,
+    symmetric_basis_loop,
+)
 
 
 def random_unitary(dim, rng):
