@@ -35,7 +35,6 @@ from .states import (
     StateSpec,
     analyze,
     build_state,
-    partial_trace_b,
     spec_from_json,
 )
 from .tensorops import DEFAULT_MEMORY_CAP

@@ -168,7 +168,10 @@ def emit(
 
 def _write_output(text: str, cfg: RunConfig) -> None:
     if cfg.output_path:
-        Path(cfg.output_path).write_text(text, encoding="utf-8", newline="")
+        try:
+            Path(cfg.output_path).write_text(text, encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ValidationError(f"out: cannot write {cfg.output_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -339,7 +342,10 @@ def _load_state(arg: str, seed: int | None) -> StateSpec:
         path = Path(arg)
         if not path.exists():
             raise ValidationError(f"state: file not found: {arg}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"state: cannot read {arg}: {exc}") from exc
     spec = spec_from_json(text)
     if seed is not None:
         if spec.kind not in ("random_pure", "random_mixed"):

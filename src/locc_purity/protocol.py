@@ -30,11 +30,13 @@ symmetric_power with G_{n-1}, Gamma_{n-1} in the monomial frame
 C Gamma_{n-1} C^{-1}, C = diag(1 / sqrt(alpha!)), so one pass per n
 (_n_copy_pass) forms G_{n-1} of rho and of rho^R and nothing of size d^n; its
 state-independent tables (_pass_tables) are built once per (d, n) on first
-use. Three independent routes to the optimal acceptance (Tr Gamma, sum of
-m_lambda, complete homogeneous polynomial of the spectrum) must agree, and
-phi^T Gamma^R phi must equal (Tr rho)^n. The chain projectors P_lambda
-are test oracles only (tests/oracles.py), as are the dense operators left
-in tensorops and states.
+use. run_test is the one entry into the pass, and each of its calls checks
+Gamma's trace against the complete homogeneous polynomial h_n of the
+spectrum, that the E_lambda resolve the identity by sum m_lambda = Tr Gamma
+(both sides read the same Gamma), Gamma^R by phi^T Gamma^R phi =
+(Tr rho)^n, and the sandwich inequality. The chain projectors P_lambda are test oracles
+only (tests/oracles.py), as are the dense operators left in tensorops and
+states.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .tensorops import (
     _root_factorials,
     check_memory_cap,
     cycle_moves_memory_entries,
-    multiset_arrangements,
     multiset_cycle_moves,
     multiset_occupation,
     multiset_rank,
@@ -133,7 +134,9 @@ def _sector_pair_bound(d: int, n: int) -> int:
     the letter counts alone: the A weight mu holds T = prod_a f(mu_a) rows,
     f(m) = C(m + d - 1, d - 1), and a sector of it at most T / max_a f(mu_a)
     (the other rows of the d x d count table fix the last). Within 1.25x of
-    the count for d = 2 and 2.1x for d = 3 up to n = 7."""
+    the count for d = 2 and 2.1x for d = 3 up to n = 7, but 10.7x at
+    (8, 3) (1964992 against 183744 pairs): the bound, not the count, decides
+    how early the memory cap refuses a large d."""
     total = 0
     for lam in enumerate_partitions(n, d):
         parts = lam.parts + (0,) * (d - len(lam.parts))
@@ -159,18 +162,22 @@ def pass_memory_entries(d: int, n: int) -> int:
     product next to G_{n-1}(rho^R). G is the monomial frame of the power
     (see _pass_tables), as large as Gamma; the similarity rides in the
     tables, with one cached sqrt(alpha!) column. Real and int64 entries
-    count half; the same-sector pairs are bounded by _sector_pair_bound. The
-    build holds K t_2 + t_3 next to the mode moves, the eigenvectors of one
-    sector size or the index tables of the last step."""
+    count half; the same-sector pairs are bounded by _sector_pair_bound, and
+    the live (pair, slot) entries of the last step by min(n, d^2) per pair.
+    The cached tables are E_lambda and the three live-entry tables on the
+    pairs, the diagonal pairs, W and Z. The build holds the pairs next to
+    K t_2 + t_3 and the mode moves, the eigenvectors of one sector size, the
+    index tables of the last step, or every v_lambda and the gather into W."""
     k, lams = d * d, len(enumerate_partitions(n, d))
     rank, prev = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1)
     pairs, slots = _sector_pair_bound(d, n), min(n, k)
-    tables = pairs * (3 * slots + lams + 2) + (rank + 2 * k * prev) * (lams + 1) + rank
+    tables = pairs * (3 * slots + lams) + 2 * k * prev * (lams + 1) + rank
     # multiset_table and _power_step (beta' and the row slots) at every level
     for m in range(1, n + 1):
         tables += math.comb(k + m - 1, m) * (m + min(m, k) + 1)
     moves = cycle_moves_memory_entries(d, n)
-    build = pairs + max(2 * slots * pairs, moves, (lams + 2) * pairs // 2)
+    lift = rank * (lams + 1) // 2 + k * prev * (lams + 1)
+    build = pairs + max(2 * slots * pairs, moves, (lams + 2) * pairs // 2, lift)
     power = symmetric_power_memory_entries(k, n - 1) + pairs // 2 if n > 1 else 0
     gather = prev * prev + 2 * pairs * slots
     product = prev * prev + 3 * k * prev * (lams + 1)
@@ -184,14 +191,12 @@ class _PassTables:
     partitions: tuple[Partition, ...]
     d_lambda: tuple[int, ...]  # hook_dim of each
     dim_u: tuple[int, ...]  # weyl_dim of each
-    pairs: np.ndarray  # (2, P): (alpha, beta), every same-sector pair
-    e: np.ndarray  # (L, P): E_lambda[alpha, beta]
-    v: np.ndarray  # (R, L + 1): every v_lambda, then phi
+    e: np.ndarray  # (L, P): E_lambda[alpha, beta] sqrt(alpha!) / sqrt(beta!)
     diag: np.ndarray  # the pairs (alpha, alpha)
-    # s = min(n, d^2) slots, one per distinct letter; the unused ones weigh 0
-    gamma_at: np.ndarray  # (P, s): Gamma_n[pair] sums G_{n-1}.flat[gamma_at]
-    op_at: np.ndarray  # (P, s):   times op.flat[op_at]
-    weight: np.ndarray  # (P, s):  times sqrt(alpha!) / sqrt(beta!)
+    # one entry per live step row (alpha - e_j, j), j a distinct letter of alpha
+    pair_of: np.ndarray  # G_n[pair] sums, over the entries of the pair,
+    gamma_at: np.ndarray  # G_{n-1}.flat[gamma_at]
+    op_at: np.ndarray  # times op.flat[op_at]
     lift_v: np.ndarray  # (R_{n-1}, L + 1, d^2): W
     drop_v: np.ndarray  # (R_{n-1} (L + 1), d^2): Z
 
@@ -218,23 +223,24 @@ def _weight_sectors(d: int, n: int) -> list[np.ndarray]:
 
 
 def _isotypic_sectors(
-    d: int, n: int, root: np.ndarray
+    d: int, n: int
 ) -> tuple[tuple[Partition, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Every E_lambda = V^T (P_lambda x I) V on the weight sectors.
 
     E_lambda keeps the A and B weights, so it is block diagonal over the
     sectors. A = K t_2 + t_3, t_k chain A's k-cycle class sum on Sym^n
-    (multiset_cycle_moves, root = sqrt(N)), acts on the lambda isotypic
-    component as the integer key of class_sum_keys; one batched eigh per
-    sector size labels every eigenvector with the key within 0.5 of its
-    eigenvalue, and one contraction gives every E_lambda = U U^T over its
-    label. Returns the Young indices, the pairs (alpha, beta) sector by
+    (multiset_cycle_moves, symmetrised by _root_factorials), acts on the
+    lambda isotypic component as the integer key of class_sum_keys; one
+    batched eigh per sector size labels every eigenvector with the key
+    within 0.5 of its eigenvalue, and one contraction gives every
+    E_lambda = U U^T over its label. Returns the Young indices, the pairs (alpha, beta) sector by
     sector, E on them (L, P), and the diagonal pairs. A move out of its
     sector, an eigenvalue off every key, or tr E_lambda away from
     weyl_dim(lambda, d)^2 (_check_projector_trace) is an InvariantError.
     """
     groups = _weight_sectors(d, n)
-    rank = len(root)
+    fact = _root_factorials(d * d, n)
+    rank = len(fact)
     start, pos, size = (np.empty(rank, dtype=np.int64) for _ in range(3))
     alpha, beta = [], []
     total = 0
@@ -253,7 +259,7 @@ def _isotypic_sectors(
     if (start[row] != start[col]).any():
         raise InvariantError(f"a cycle move left its weight sector (d={d}, n={n})")
     at = start[col] + pos[row] * size[col] + pos[col]
-    a = np.bincount(at, weight * root[col] / root[row], total)
+    a = np.bincount(at, weight * fact[row] / fact[col], total)
     del col, row, weight, at  # not alive next to eigh
 
     keys = np.array(list(key.values()))[:, None, None]
@@ -296,17 +302,19 @@ def _pass_tables(d: int, n: int) -> _PassTables:
     cached read-only.
 
     On top of _isotypic_sectors: v_lambda = E_lambda phi, phi = V^T vec(I)
-    holding sqrt(N_gamma) on the multisets of diagonal modes (a, a), and
-    the last step of the monomial-frame power (see _power_step) cut down to
-    what the pass reads of Gamma_n. The pass holds G_{n-1} = C Gamma_{n-1}
-    C^{-1}, C = diag(1 / sqrt(alpha!)) (see symmetric_power); the similarity
-    rides in these tables, which the pass multiplies anyway:
+    holding sqrt(N_gamma) = sqrt(n!) / sqrt(gamma!) on the multisets of
+    diagonal modes (a, a), and the last step of the monomial-frame power
+    (see _power_step) cut down to what the pass reads of Gamma_n. The pass
+    holds G_{n-1} = C Gamma_{n-1} C^{-1}, C = diag(1 / sqrt(alpha!)) (see
+    symmetric_power); the similarity rides in these tables, which the pass
+    multiplies anyway:
 
-      Gamma_n[alpha, beta] = sum_p G_{n-1}.flat[gamma_at] op.flat[op_at] weight,
-      weight = sqrt(alpha!) / sqrt(beta!) on the live slots,
+      G_n[alpha, beta] = sum G_{n-1}.flat[gamma_at] op.flat[op_at],
 
-    over the same-sector pairs, p running over the distinct letters of
-    alpha, and
+    over the live step rows (alpha - e_j, j) of each same-sector pair, j
+    running over the distinct letters of alpha, and
+    Gamma_n[alpha, beta] = G_n[alpha, beta] sqrt(alpha!) / sqrt(beta!), a
+    factor e takes on; and
 
       v^T Gamma_n v = sum W o Re(G_{n-1} Y),  Y = Z op^T,
       W[alpha', j] = sqrt(alpha!) v[alpha],  alpha = alpha' + e_j,
@@ -316,36 +324,38 @@ def _pass_tables(d: int, n: int) -> _PassTables:
     are two matrix products.
     """
     k = d * d
-    root = np.sqrt(multiset_arrangements(k, n))
-    partitions, pairs, e, diag = _isotypic_sectors(d, n, root)
+    fact, prev = _root_factorials(k, n), math.comb(k + n - 2, n - 1)
+    partitions, pairs, e, diag = _isotypic_sectors(d, n)
     reps = multiset_table(k, n)
     # a d + b = b - a mod d + 1: the diagonal modes are the multiples of d + 1
-    phi = np.where((reps % (d + 1) == 0).all(axis=1), root, 0.0)
+    phi = np.where((reps % (d + 1) == 0).all(axis=1), math.sqrt(math.factorial(n)) / fact, 0.0)
     v = np.stack(
         [np.bincount(pairs[0], row * phi[pairs[1]], len(phi)) for row in e] + [phi], axis=1
     )
     prime, low, rows = _power_step(k, n)
-    fact, prev = _root_factorials(k, n), math.comb(k + n - 2, n - 1)
-    alpha, beta = pairs
-    drop = rows[alpha]
     live = np.nonzero(rows < k * prev)
     gathered = rows[live]  # every step row (alpha', j) once, from alpha = live[0]
     lift_v = np.zeros((prev, v.shape[1], k))
     lift_v[gathered // k, :, gathered % k] = fact[live[0], None] * v[live[0]]
     drop_v = np.zeros_like(lift_v)
     drop_v[prime, :, low] = v / fact[:, None]
+    del v, live, gathered  # not alive next to the step tables
+    alpha, beta = pairs
+    e *= fact[alpha] / fact[beta]
+    step = rows[alpha]
+    live = step < k * prev
+    pair_of = np.repeat(np.arange(len(alpha)), live.sum(axis=1))
+    step = step[live]
+    beta = beta[pair_of]
     tables = _PassTables(
         partitions=partitions,
         d_lambda=tuple(hook_dim(lam) for lam in partitions),
         dim_u=tuple(weyl_dim(lam, d) for lam in partitions),
-        pairs=pairs,
         e=e,
-        v=v,
         diag=diag,
-        # the sentinel slots weigh 0; any entry of G_{n-1} will do
-        gamma_at=np.minimum(drop // k * prev + prime[beta, None], prev * prev - 1),
-        op_at=drop % k * k + low[beta, None],
-        weight=np.where(drop < k * prev, (fact[alpha] / fact[beta])[:, None], 0.0),
+        pair_of=pair_of,
+        gamma_at=step // k * prev + prime[beta],
+        op_at=step % k * k + low[beta],
         lift_v=lift_v,
         drop_v=drop_v.reshape(-1, k),
     )
@@ -365,23 +375,23 @@ def _n_copy_pass(
     rho: np.ndarray, d: int, n: int, memory_cap: int | None
 ) -> tuple[list[BlockStats], float, float]:
     """The block statistics, the direct optimal acceptance Tr Re Gamma and
-    phi^T Gamma^R phi, which must equal (Tr rho)^n.
+    phi^T Gamma^R phi, which must equal (Tr rho)^n, of a d^2 x d^2 rho
+    (run_test checks its shape).
 
     Only G_{n-1} of rho and of rho^R are formed, in the monomial frame;
     their last step, and the similarity back to Gamma_n, are taken through
-    the tables of _pass_tables. vals holds Re Gamma_n on the
-    same-sector pairs, so p_opt sums its diagonal pairs and
-    m_lambda = sum E_lambda vals (E_lambda is real symmetric). The memory
-    cap is checked once, before any work, against pass_memory_entries.
+    the tables of _pass_tables. vals holds Re G_n on the same-sector pairs,
+    one sum of live step rows each, so p_opt sums its diagonal pairs, where
+    G and Gamma agree, and m_lambda = sum e_lambda vals (E_lambda is real
+    symmetric; e carries the similarity). The memory cap is checked once,
+    before any work, against pass_memory_entries.
     """
-    if rho.shape != (d * d, d * d):
-        raise ValidationError(f"expected a {d * d} x {d * d} matrix, got {rho.shape}")
     check_memory_cap(pass_memory_entries(d, n), memory_cap, f"{n}-copy pass (d={d})")
     t = _pass_tables(d, n)
     gamma = _previous_level(rho, n)
-    vals = (gamma.ravel()[t.gamma_at] * rho.ravel()[t.op_at]).real
-    vals = np.einsum("ap,ap->a", vals, t.weight)
-    del gamma
+    terms = (gamma.ravel()[t.gamma_at] * rho.ravel()[t.op_at]).real
+    vals = np.bincount(t.pair_of, terms, t.e.shape[1])
+    del gamma, terms
     rho_r = rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
     gamma = _previous_level(rho_r, n)
     y = (t.drop_v @ rho_r.T).reshape(len(gamma), -1)
@@ -395,35 +405,6 @@ def _n_copy_pass(
         fid = m_lam / p_lam if p_lam > ZERO_BLOCK_TOL else None
         out.append(BlockStats(lam, p_lam, m_lam, d_lam, dim_u, fid))
     return out, float(vals[t.diag].sum()), float(mass[-1])
-
-
-def _check_oracle(direct: float, oracle: float, d: int, n: int) -> None:
-    if abs(direct - oracle) > ORACLE_TOL:
-        raise InvariantError(
-            f"optimal acceptance disagrees with its polynomial oracle: "
-            f"trace {direct!r} vs h_n {oracle!r} (n={n}, d={d})"
-        )
-
-
-def block_statistics(
-    rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
-) -> list[BlockStats]:
-    """p_lambda and m_lambda for every Young index, from the n-copy pass."""
-    return _n_copy_pass(rho, d, n, memory_cap)[0]
-
-
-def p_opt(
-    rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
-) -> float:
-    """Acceptance probability of the globally optimal test, Tr(rho^n Pi_n),
-    taken as Tr Gamma, Gamma = Sym^n(rho) on the symmetric subspace.
-
-    Cross-checked on every call against the complete homogeneous polynomial
-    of the single-copy spectrum; disagreement is an InvariantError.
-    """
-    direct = _n_copy_pass(rho, d, n, memory_cap)[1]
-    _check_oracle(direct, float(complete_homogeneous(n, np.linalg.eigvalsh(rho))), d, n)
-    return direct
 
 
 def p_star(blocks: list[BlockStats]) -> float:
@@ -450,13 +431,16 @@ def slack_bound(blocks: list[BlockStats]) -> float:
 def run_test(
     rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
 ) -> TestReport:
-    """Full per-n report, with the three-way optimal-acceptance agreement,
-    the realigned identity phi^T Gamma^R phi = (Tr rho)^n and the sandwich
-    inequality enforced."""
+    """Full per-n report, the one checked entry into the n-copy pass: a
+    failure of any check named in the module docstring is an InvariantError."""
     analysis = analyze(rho, d)
     blocks, opt, phi_mass = _n_copy_pass(rho, d, n, memory_cap)
     oracle = float(complete_homogeneous(n, analysis.spectrum))
-    _check_oracle(opt, oracle, d, n)
+    if abs(opt - oracle) > ORACLE_TOL:
+        raise InvariantError(
+            f"optimal acceptance disagrees with its polynomial oracle: "
+            f"trace {opt!r} vs h_n {oracle!r} (n={n}, d={d})"
+        )
     sum_m = sum(b.m_lambda for b in blocks)
     if abs(opt - sum_m) > ORACLE_TOL:
         raise InvariantError(
@@ -490,6 +474,23 @@ def run_test(
         minus_log_p1=minus_log_p1,
         blocks=blocks,
     )
+
+
+def block_statistics(
+    rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
+) -> list[BlockStats]:
+    """p_lambda and m_lambda for every Young index: run_test's blocks, with
+    all of its checks."""
+    return run_test(rho, d, n, memory_cap).blocks
+
+
+def p_opt(
+    rho: np.ndarray, d: int, n: int, memory_cap: int | None = DEFAULT_MEMORY_CAP
+) -> float:
+    """Acceptance probability of the globally optimal test, Tr(rho^n Pi_n),
+    taken as Tr Gamma, Gamma = Sym^n(rho) on the symmetric subspace:
+    run_test's p_opt, with all of its checks."""
+    return run_test(rho, d, n, memory_cap).p_opt
 
 
 def exponent_series(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -153,32 +153,17 @@ def build_state(spec: StateSpec) -> np.ndarray:
 
 @dataclass
 class StateAnalysis:
-    """What analyze finds of rho; schmidt_probs is computed when read."""
+    """What analyze finds of rho."""
 
     spectrum: np.ndarray
     p1: float
     purity: float
     is_pure: bool
-    rho: np.ndarray = field(repr=False)
-    d: int
-
-    @property
-    def schmidt_probs(self) -> np.ndarray | None:
-        """The squared Schmidt coefficients of a pure rho, non-increasing: the
-        spectrum of its reduced state; None for a mixed one."""
-        if not self.is_pure:
-            return None
-        return np.sort(np.linalg.eigvalsh(partial_trace_b(self.rho, self.d)))[::-1]
-
-
-def partial_trace_b(rho: np.ndarray, d: int) -> np.ndarray:
-    """Reduced state on A: trace out the second factor of one copy."""
-    return np.einsum("abcb->ac", rho.reshape(d, d, d, d))
 
 
 def analyze(rho: np.ndarray, d: int) -> StateAnalysis:
-    """Spectrum (non-increasing), largest eigenvalue, purity, and the
-    Schmidt data of a copy of rho, which are computed when read."""
+    """Spectrum (non-increasing), largest eigenvalue and purity of a
+    d^2 x d^2 rho; any other shape is a ValidationError."""
     dim = d * d
     if rho.shape != (dim, dim):
         raise ValidationError(f"expected a {dim} x {dim} matrix, got {rho.shape}")
@@ -189,8 +174,6 @@ def analyze(rho: np.ndarray, d: int) -> StateAnalysis:
         p1=float(spectrum[0]),
         purity=purity,
         is_pure=purity >= PURITY_PURE_THRESHOLD,
-        rho=rho.copy(),
-        d=d,
     )
 
 

@@ -26,6 +26,7 @@ it raises MemoryCapError with the computed estimate instead of crashing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Sequence
@@ -217,44 +218,27 @@ def multiset_occupation(k: int, m: int) -> np.ndarray:
     return np.bincount(at.ravel(), minlength=len(table) * k).reshape(len(table), k)
 
 
-def multiset_arrangements(k: int, m: int) -> np.ndarray:
-    """N = m! / prod_j alpha_j!, the number of arrangements of every row
-    alpha of multiset_table(k, m), as floats: each factorial is exact or
-    correctly rounded, and nothing overflows below m = 171."""
-    factorial = np.array([math.factorial(i) for i in range(m + 1)], dtype=float)
-    return factorial[m] / factorial[multiset_occupation(k, m)].prod(axis=1)
-
-
 @lru_cache(maxsize=None)
 def _rotation_classes(s: int, ks: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Index tables over the rotation classes of k-tuples t of range(s) for
     every k in ks, one row per tuple entry i, padded to w = max(ks) rows;
     cached read-only. The classes are the necklaces, each as its smallest
-    rotation, from the Fredricksen-Kessler-Maiorana algorithm. Returns the
-    falling factors t_i w + #{j < i : t_j = t_i} (s w, a factor 1, when
-    padded), the slot pairs t_{i-1} s + t_i (0, a copy keeping its letter,
-    when padded), k over each class size, and the index of its k in ks."""
+    rotation, in lexicographic order, found among the s^k tuples (k <= 3 on
+    the protocol path). Returns the falling factors
+    t_i w + #{j < i : t_j = t_i} (s w, a factor 1, when padded), the slot
+    pairs t_{i-1} s + t_i (0, a copy keeping its letter, when padded), k
+    over each class size, and the index of its k in ks."""
     width = max(ks)
     rows = []
     for kind, k in enumerate(ks):
-        a = [0] * (k + 1)  # a[1:] runs over the prenecklaces
-        period = 1
-        while True:
-            if k % period == 0:  # a necklace, its class `period` rotations
-                t = a[1:]
-                pad = width - k
-                rows += [x * width + t[:i].count(x) for i, x in enumerate(t)] + [s * width] * pad
-                rows += [t[i - 1] * s + x for i, x in enumerate(t)] + [0] * pad
-                rows += [k // period, kind]
-            i = k
-            while i and a[i] == s - 1:
-                i -= 1
-            if not i:
-                break
-            a[i] += 1
-            period = i
-            for j in range(i + 1, k + 1):
-                a[j] = a[j - period]
+        for t in itertools.product(range(s), repeat=k):
+            rotations = {t[i:] + t[:i] for i in range(k)}
+            if t != min(rotations):
+                continue
+            pad = width - k
+            rows += [x * width + t[:i].count(x) for i, x in enumerate(t)] + [s * width] * pad
+            rows += [t[i - 1] * s + x for i, x in enumerate(t)] + [0] * pad
+            rows += [k // len(rotations), kind]
     table = np.array(rows).reshape(-1, 2 * width + 2).T
     table.setflags(write=False)
     return table[:width], table[width:-2], table[-2], table[-1]
@@ -288,8 +272,8 @@ def multiset_cycle_moves(
     which over one tuple tau per rotation class of alpha's occupied modes
     (at most min(n, d^2) slots) is w(tau) = (class size / k)
     prod_i (alpha_{m_i} - #{j < i : m_j = m_i}). Returns (alpha, beta, c_k w)
-    over the w > 0, and t[beta, alpha] = sqrt(N_alpha / N_beta) sum c_k w,
-    N from multiset_arrangements. Each kept move's beta is formed as an
+    over the w > 0, and t[beta, alpha] = (sqrt(beta!) / sqrt(alpha!)) sum c_k w,
+    sqrt(alpha!) from _root_factorials. Each kept move's beta is formed as an
     occupation and found by multiset_rank.
     """
     modes = d * d

@@ -247,9 +247,9 @@ def multiset_cycle_images(d, n, cycles):
     letters a and keeps its B letters b, so that chain A's k-cycle class
     sum restricted to Sym^n is
 
-      t_k[beta, alpha] = sqrt(N_alpha / N_beta) #{c : images[alpha, c] = beta},
+      t_k[beta, alpha] = (sqrt(beta!) / sqrt(alpha!)) #{c : images[alpha, c] = beta},
 
-    N from multiset_arrangements.
+    sqrt(alpha!) from tensorops._root_factorials.
     """
     reps = multiset_table(d * d, n)
     a = reps // d

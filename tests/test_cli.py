@@ -294,6 +294,28 @@ def test_missing_state_file_exits_2(capsys):
     assert "state" in capsys.readouterr().err
 
 
+def test_state_directory_exits_2(tmp_path, capsys):
+    rc = run(["test", "--d", "2", "--n", "2", "--state", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: state: cannot read")
+
+
+def test_non_utf8_state_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_bytes(b'{"d": 2, "kind": "random_mixed", "seed": 7}\xff')
+    rc = run(["test", "--d", "2", "--n", "2", "--state", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: state: cannot read")
+
+
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    rc = run(["dims", "--n", "3", "--d", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: out: cannot write")
+    assert not out.exists()
+
+
 def test_d_mismatch_exits_2(capsys):
     rc = run(["test", "--d", "3", "--n", "2", "--state", MAX_ENT_SPEC])
     assert rc == 2

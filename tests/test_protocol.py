@@ -443,17 +443,14 @@ def test_wrong_shape_rho_is_a_validation_error(entry):
 def test_oracle_is_a_plain_float():
     rep = run_test(build_state(StateSpec(d=2, kind="random_mixed", seed=4)), 2, 3)
     assert type(rep.oracle_p_opt) is float
-    bogus = np.eye(4, dtype=complex) / 4
-    bogus[1, 0] = 0.2
     with pytest.raises(InvariantError) as err:
-        p_opt(bogus, 2, 2)
+        p_opt(non_hermitian_state(), 2, 2)
     assert "np.float64" not in str(err.value)
 
 
-def test_realigned_mass_disagreement_is_loud(monkeypatch):
-    # phi^T Gamma^R phi = (Tr rho)^n checks Gamma_{n-1}(rho^R) and the last
-    # step's contraction by a route that no E_lambda enters: skew only the
-    # realigned power (rho^R of a mixed state is not Hermitian)
+def skew_realigned_power(monkeypatch):
+    """Scale G_{n-1} of every non-Hermitian operand of the pass by 1.001:
+    rho^R of a mixed state is not Hermitian, rho is."""
     original = protocol._previous_level
 
     def skewed(op, n):
@@ -461,9 +458,39 @@ def test_realigned_mass_disagreement_is_loud(monkeypatch):
         return gamma if np.allclose(op, op.conj().T) else 1.001 * gamma
 
     monkeypatch.setattr(protocol, "_previous_level", skewed)
+
+
+def test_realigned_mass_disagreement_is_loud(monkeypatch):
+    # phi^T Gamma^R phi = (Tr rho)^n checks Gamma_{n-1}(rho^R) and the last
+    # step's contraction by a route that no E_lambda enters: skew only the
+    # realigned power
+    skew_realigned_power(monkeypatch)
     rho = build_state(StateSpec(d=2, kind="random_mixed", seed=6))
     with pytest.raises(InvariantError, match="realigned"):
         run_test(rho, 2, 3)
+
+
+def non_hermitian_state():
+    bogus = np.eye(4, dtype=complex) / 4
+    bogus[1, 0] = 0.2
+    return bogus
+
+
+@pytest.mark.parametrize("corrupt", ["realigned power", "non-Hermitian input"])
+@pytest.mark.parametrize("entry", [block_statistics, p_opt, run_test])
+def test_every_entry_enforces_the_same_invariants(entry, corrupt, monkeypatch):
+    # run_test is the one checked entry into the pass: block_statistics and
+    # p_opt raise exactly what it raises
+    if corrupt == "realigned power":
+        skew_realigned_power(monkeypatch)
+        rho = build_state(StateSpec(d=2, kind="random_mixed", seed=6))
+    else:
+        rho = non_hermitian_state()
+    with pytest.raises(InvariantError) as want:
+        run_test(rho, 2, 3)
+    with pytest.raises(InvariantError) as got:
+        entry(rho, 2, 3)
+    assert str(got.value) == str(want.value)
 
 
 def test_realigned_mass_is_the_trace_power():
@@ -477,7 +504,5 @@ def test_realigned_mass_is_the_trace_power():
 def test_oracle_disagreement_is_loud():
     # a non-Hermitian input desynchronizes the direct trace from the
     # Hermitian-solver oracle; that must raise, never return silently
-    bogus = np.eye(4, dtype=complex) / 4
-    bogus[1, 0] = 0.2
     with pytest.raises(InvariantError, match="oracle"):
-        p_opt(bogus, 2, 2)
+        p_opt(non_hermitian_state(), 2, 2)

@@ -20,11 +20,17 @@ from locc_purity.partitions import (
     schur_polynomial,
     weyl_dim,
 )
-from locc_purity.protocol import _pass_tables, block_statistics, pass_memory_entries
+from locc_purity.protocol import (
+    _isotypic_sectors,
+    _pass_tables,
+    block_statistics,
+    pass_memory_entries,
+)
 from locc_purity.tensorops import (
     DEFAULT_MEMORY_CAP,
+    _power_step,
+    _root_factorials,
     cycle_moves_memory_entries,
-    multiset_arrangements,
     multiset_cycle_moves,
     multiset_occupation,
     multiset_rank,
@@ -58,12 +64,22 @@ def sandwich(v_chain, op_a):
     return v_chain.reshape(-1, rank).T @ moved.reshape(-1, rank)
 
 
-def dense(t, values):
-    """A matrix on Sym^n that is zero off the same-sector pairs."""
-    rank = t.v.shape[0]
+def dense(pairs, values):
+    """A matrix on Sym^n that is zero off the same-sector pairs; every
+    multiset is paired with itself, so the largest one is the last row."""
+    rank = pairs.max() + 1
     out = np.zeros((rank, rank))
-    out[t.pairs[0], t.pairs[1]] = values
+    out[pairs[0], pairs[1]] = values
     return out
+
+
+def pass_v(d, n):
+    """Every v_lambda, then phi, as the pass holds them: column beta of
+    Z = drop_v is v[beta] / sqrt(beta!) at (beta', f) (see _pass_tables)."""
+    t = _pass_tables(d, n)
+    prime, low, _ = _power_step(d * d, n)
+    z = t.drop_v.reshape(-1, len(t.partitions) + 1, d * d)
+    return z[prime, :, low] * _root_factorials(d * d, n)[:, None]
 
 
 def swap_letters(d, n):
@@ -76,21 +92,22 @@ def swap_letters(d, n):
 
 @pytest.mark.parametrize("d,n", CHAIN_CASES)
 def test_isotypic_sector_projectors_match_chain_route(d, n):
-    t = _pass_tables(d, n)
+    partitions, pairs, e, _ = _isotypic_sectors(d, n)
+    v = pass_v(d, n)
     v_chain = chain_basis(d, n)
     projectors = build_projector_set(d, n)
-    assert list(t.partitions) == list(projectors)
+    assert list(partitions) == list(projectors)
     for i, (lam, p) in enumerate(projectors.items()):
-        np.testing.assert_allclose(dense(t, t.e[i]), sandwich(v_chain, p), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense(pairs, e[i]), sandwich(v_chain, p), rtol=0, atol=1e-12)
         want_v = p.ravel() @ v_chain.reshape(p.size, -1)
-        np.testing.assert_allclose(t.v[:, i], want_v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v[:, i], want_v, rtol=0, atol=1e-12)
 
 
-def on_multisets(root, alpha, beta, weight):
-    """The dense R x R matrix with sqrt(N_alpha / N_beta) weight summed
-    into each entry [beta, alpha]."""
-    out = np.zeros((len(root), len(root)))
-    np.add.at(out, (beta, alpha), weight * root[alpha] / root[beta])
+def on_multisets(fact, alpha, beta, weight):
+    """The dense R x R matrix with (sqrt(beta!) / sqrt(alpha!)) weight,
+    fact = sqrt(alpha!), summed into each entry [beta, alpha]."""
+    out = np.zeros((len(fact), len(fact)))
+    np.add.at(out, (beta, alpha), weight * fact[beta] / fact[alpha])
     return out
 
 
@@ -98,10 +115,10 @@ def on_multisets(root, alpha, beta, weight):
 @pytest.mark.parametrize("d,n", CHAIN_CASES + [(7, 2)])
 def test_multiset_cycle_images_give_the_chain_class_sums(d, n):
     # the mode moves of chain A's k-cycles give its class sum on Sym^n
-    root = np.sqrt(multiset_arrangements(d * d, n))
+    fact = _root_factorials(d * d, n)
     v_chain = chain_basis(d, n)
     for k in (2, 3):
-        got = on_multisets(root, *multiset_cycle_moves(d, n, {k: 1}))
+        got = on_multisets(fact, *multiset_cycle_moves(d, n, {k: 1}))
         want = sandwich(v_chain, cycle_class_sum(d, n, k))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -111,14 +128,14 @@ def test_cycle_moves_and_cycle_images_build_one_key_operator(d, n):
     # A = K t_2 + t_3 from one tuple per rotation class of the occupied
     # modes, against the image of every cycle; only the summation order differs
     spread, _ = class_sum_keys(d, n)
-    root = np.sqrt(multiset_arrangements(d * d, n))
-    moved = on_multisets(root, *multiset_cycle_moves(d, n, {2: spread, 3: 1}))
+    fact = _root_factorials(d * d, n)
+    moved = on_multisets(fact, *multiset_cycle_moves(d, n, {2: spread, 3: 1}))
     imaged = np.zeros_like(moved)
     for k, scale in ((2, spread), (3, 1)):
         images = multiset_cycle_images(d, n, k_cycles(n, k))
-        alpha = np.broadcast_to(np.arange(len(root))[:, None], images.shape)
-        imaged += on_multisets(root, alpha.ravel(), images.ravel(), scale)
-    assert (moved != 0).sum() == (imaged != 0).sum() > len(root)
+        alpha = np.broadcast_to(np.arange(len(fact))[:, None], images.shape)
+        imaged += on_multisets(fact, alpha.ravel(), images.ravel(), scale)
+    assert (moved != 0).sum() == (imaged != 0).sum() > len(fact)
     np.testing.assert_allclose(moved, imaged, rtol=1e-12, atol=0)
 
 
@@ -138,20 +155,21 @@ def test_cycle_moves_memory_estimate_covers_the_moves(d, n):
 
 @pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 7)])
 def test_isotypic_sector_projectors_resolve_the_identity(d, n):
-    t = _pass_tables(d, n)
-    diagonal = (t.pairs[0] == t.pairs[1]).astype(float)
-    np.testing.assert_allclose(t.e.sum(axis=0), diagonal, rtol=0, atol=1e-12)
-    for i, lam in enumerate(t.partitions):
-        assert t.e[i, t.diag].sum() == pytest.approx(weyl_dim(lam, d) ** 2, abs=1e-9)
+    partitions, pairs, e, diag = _isotypic_sectors(d, n)
+    diagonal = (pairs[0] == pairs[1]).astype(float)
+    np.testing.assert_allclose(e.sum(axis=0), diagonal, rtol=0, atol=1e-12)
+    for i, lam in enumerate(partitions):
+        assert e[i, diag].sum() == pytest.approx(weyl_dim(lam, d) ** 2, abs=1e-9)
         # a projector: E^2 = E on every sector (the pairs run sector by sector)
         start = 0
         for rows in protocol._weight_sectors(d, n):
             count, s = rows.shape
-            block = t.e[i, start : start + count * s * s].reshape(count, s, s)
+            block = e[i, start : start + count * s * s].reshape(count, s, s)
             np.testing.assert_allclose(block @ block, block, rtol=0, atol=1e-12)
             start += count * s * s
     # sum_lambda v_lambda = phi, the last column
-    np.testing.assert_allclose(t.v[:, :-1].sum(axis=1), t.v[:, -1], rtol=0, atol=1e-12)
+    v = pass_v(d, n)
+    np.testing.assert_allclose(v[:, :-1].sum(axis=1), v[:, -1], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d,n", [(2, 6), (2, 9), (3, 4), (3, 5)])
@@ -159,11 +177,11 @@ def test_isotypic_sector_projectors_from_chain_b_agree(d, n):
     # chain B's class sums are chain A's with the letters of every mode
     # exchanged, so E^B_lambda = S E^A_lambda S^T; Cauchy-Howe duality
     # pairs the lambda blocks of the two chains, so both are one projector
-    t = _pass_tables(d, n)
+    partitions, pairs, e, _ = _isotypic_sectors(d, n)
     swap = swap_letters(d, n)
-    for i in range(len(t.partitions)):
-        e = dense(t, t.e[i])
-        np.testing.assert_allclose(e[np.ix_(swap, swap)], e, rtol=0, atol=1e-12)
+    for i in range(len(partitions)):
+        block = dense(pairs, e[i])
+        np.testing.assert_allclose(block[np.ix_(swap, swap)], block, rtol=0, atol=1e-12)
 
 
 def test_weight_sectors_are_the_letter_multisets():
@@ -206,8 +224,9 @@ def test_product_states_match_schur_closed_forms(d, n_max):
 def test_pass_tables_build_past_int64_radix_codes():
     # _power_step(4, 33) ranks rows whose radix-4 codes pass int64
     t = _pass_tables(2, 33)
-    assert t.v.shape[0] == len(multiset_table(4, 33))
-    np.testing.assert_allclose(t.e.sum(axis=0), t.pairs[0] == t.pairs[1], rtol=0, atol=1e-12)
+    assert len(t.diag) == len(multiset_table(4, 33))
+    _, pairs, e, _ = _isotypic_sectors(2, 33)
+    np.testing.assert_allclose(e.sum(axis=0), pairs[0] == pairs[1], rtol=0, atol=1e-12)
 
 
 def test_tables_are_read_only():
@@ -264,10 +283,11 @@ def test_a_projector_of_the_wrong_trace_is_loud(monkeypatch):
 
 def test_pass_tables_build_at_d8_n3():
     # tr E_(2,1) = 28224 here, which an absolute 1e-8 bound failed on
-    # float noise alone (28224.00000001573)
-    t = _pass_tables(8, 3)
-    assert [weyl_dim(lam, 8) ** 2 for lam in t.partitions] == [14400, 28224, 3136]
-    np.testing.assert_allclose(t.e.sum(axis=0), t.pairs[0] == t.pairs[1], rtol=0, atol=1e-12)
+    # float noise alone (28224.00000001573); the traces are checked in
+    # _isotypic_sectors, the costly part of the build
+    partitions, pairs, e, _ = _isotypic_sectors(8, 3)
+    assert [weyl_dim(lam, 8) ** 2 for lam in partitions] == [14400, 28224, 3136]
+    np.testing.assert_allclose(e.sum(axis=0), pairs[0] == pairs[1], rtol=0, atol=1e-12)
 
 
 def test_a_trace_off_by_one_is_loud_at_every_admitted_size():
