@@ -366,14 +366,20 @@ def type_region_bound(
     lambda/n satisfies the region predicate; rhs is
     (n+1)^(d(d+1)/2) * exp(-n * min D(q||p)) with the minimum taken over the
     region's normalized Young indices (the same finite grid as the lhs).
-    Every lambda takes s_lambda(p) from one branching memo. A d_lambda too
-    large for a float multiplies s_lambda as an exact integer ratio, rounded
-    once.
+    Every lambda takes s_lambda(p) from one branching memo. s_lambda is
+    homogeneous of degree n, so the memo runs on 2^t p, t making the largest
+    p_i at most 1 and above 1/2, and each term is d_lambda 2^{-tn} times
+    s_lambda(2^t p): the scale is exact, so nothing changes where s_lambda(p)
+    was a normal float, and at p = (1/2, 1/2) it no longer underflows from
+    n = 1075 on. A d_lambda too large for a float multiplies s_lambda as an
+    exact integer ratio, rounded once.
     """
     validate_probability_vector(p, "p")
     if len(p) != d:
         raise ValidationError(f"p must have length d={d}, got {len(p)}")
-    schur = _schur_branching(tuple(float(x) for x in p))
+    mantissa, exponent = math.frexp(max(float(x) for x in p))
+    t = (mantissa == 0.5) - exponent
+    schur = _schur_branching(tuple(math.ldexp(float(x), t) for x in p))
     lhs = 0.0
     d_min = math.inf
     members = 0
@@ -384,10 +390,10 @@ def type_region_bound(
         members += 1
         d_lam, s_lam = hook_dim(lam), schur(lam.padded(d))
         try:
-            lhs += d_lam * s_lam
+            lhs += math.ldexp(d_lam, -t * n) * s_lam
         except OverflowError:  # d_lambda is past the float range, d_lambda s_lambda is not
             num, den = s_lam.as_integer_ratio()
-            lhs += d_lam * num / den
+            lhs += d_lam * num / (den << t * n)
         d_min = min(d_min, kl_divergence(q, p))
     rhs = (n + 1) ** (d * (d + 1) / 2) * math.exp(-n * d_min)
     return TypeRegionCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs, d_min=d_min, n_members=members)

@@ -193,7 +193,7 @@ class _PassTables:
     dim_u: tuple[int, ...]  # weyl_dim of each
     e: np.ndarray  # (L, P): E_lambda[alpha, beta] sqrt(alpha!) / sqrt(beta!)
     diag: np.ndarray  # the pairs (alpha, alpha)
-    # one entry per live step row (alpha - e_j, j), j a distinct letter of alpha
+    # one entry per live slot (alpha - e_j, j), j a distinct letter of alpha
     pair_of: np.ndarray  # G_n[pair] sums, over the entries of the pair,
     gamma_at: np.ndarray  # G_{n-1}.flat[gamma_at]
     op_at: np.ndarray  # times op.flat[op_at]
@@ -311,7 +311,7 @@ def _pass_tables(d: int, n: int) -> _PassTables:
 
       G_n[alpha, beta] = sum G_{n-1}.flat[gamma_at] op.flat[op_at],
 
-    over the live step rows (alpha - e_j, j) of each same-sector pair, j
+    over the live slots (alpha - e_j, j) of each same-sector pair, j
     running over the distinct letters of alpha, and
     Gamma_n[alpha, beta] = G_n[alpha, beta] sqrt(alpha!) / sqrt(beta!), a
     factor e takes on; and
@@ -334,12 +334,12 @@ def _pass_tables(d: int, n: int) -> _PassTables:
     )
     prime, low, rows = _power_step(k, n)
     live = np.nonzero(rows < k * prev)
-    gathered = rows[live]  # every step row (alpha', j) once, from alpha = live[0]
+    gathered = rows[live]  # every slot (alpha', j) once, from alpha = live[0]
     lift_v = np.zeros((prev, v.shape[1], k))
     lift_v[gathered // k, :, gathered % k] = fact[live[0], None] * v[live[0]]
     drop_v = np.zeros_like(lift_v)
     drop_v[prime, :, low] = v / fact[:, None]
-    del v, live, gathered  # not alive next to the step tables
+    del v, live, gathered  # not alive next to the live-slot tables
     alpha, beta = pairs
     e *= fact[alpha] / fact[beta]
     step = rows[alpha]
@@ -381,7 +381,7 @@ def _n_copy_pass(
     Only G_{n-1} of rho and of rho^R are formed, in the monomial frame;
     their last step, and the similarity back to Gamma_n, are taken through
     the tables of _pass_tables. vals holds Re G_n on the same-sector pairs,
-    one sum of live step rows each, so p_opt sums its diagonal pairs, where
+    one sum over live slots each, so p_opt sums its diagonal pairs, where
     G and Gamma agree, and m_lambda = sum e_lambda vals (E_lambda is real
     symmetric; e carries the similarity). The memory cap is checked once,
     before any work, against pass_memory_entries.

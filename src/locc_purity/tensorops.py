@@ -11,8 +11,10 @@ kron, perm_operator and trace_product are test oracles, off the protocol
 path; the chain class sums T_k are one too, in tests/oracles.py. On the
 protocol path, symmetric_power gives op^{tensor n} on the symmetric
 subspace as an R x R matrix, R = C(k+n-1, n), by a recursion over
-multiset tables that gathers one row per distinct letter, at most k per
-level. The recursion runs in the monomial frame G = C Gamma C^{-1},
+multiset tables: per block of rows of a level, one gather of the previous
+level's columns and one of op's, one row per distinct letter (at most k),
+their product and one sum; a row with fewer letters reads a zero row. The
+recursion runs in the monomial frame G = C Gamma C^{-1},
 C = diag(1 / sqrt(alpha!)), where an entry is a permanent of op over
 alpha!, so no level scales a row or a column; the protocol contracts G
 itself and symmetric_power applies C once at the end. multiset_cycle_moves
@@ -308,15 +310,16 @@ def _power_step(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     symmetric_power); cached read-only.
 
     Column beta is a^dagger_f |beta'>, f its smallest mode and
-    beta' = beta - e_f, so the step table's row (alpha', j) is
-    G_{m-1}[alpha', beta'] op[j, f]. Row alpha sums, with no weight, the
-    step rows (alpha - e_j, j) over the distinct letters j of its multiset,
-    smallest first. Every step row (alpha', j) is in the row of exactly one
+    beta' = beta - e_f, so G_m[alpha, beta] sums G_{m-1}[alpha', beta']
+    op[j, f] over the slots (alpha', j) = (alpha - e_j, j) of row alpha, j
+    running over the distinct letters of its multiset, smallest first. A
+    slot holds alpha' k + j. Every (alpha', j) is a slot of exactly one
     alpha, ranked from the occupation alpha' + e_j, at the slot that counts
-    the distinct letters of alpha' below j. A multiset has at most
-    min(m, k) distinct letters; the slots left over hold the sentinel
-    k R_{m-1}, one zero row appended to the step table. Returns beta' and f
-    of every column, and the (R_m, min(m, k)) row slots.
+    the distinct letters of alpha' below j. A multiset has at most min(m, k)
+    distinct letters; a dead slot left over holds k R_{m-1}, which names
+    alpha' = R_{m-1}: the zero row below the column gather of
+    _monomial_power. Returns beta' and f of every column, and the
+    (R_m, min(m, k)) row slots.
     """
     prev, cur = multiset_occupation(k, m - 1), multiset_table(k, m)
     up = multiset_rank((prev[:, None, :] + np.eye(k, dtype=np.int64)).reshape(-1, k))
@@ -333,32 +336,36 @@ def _power_step(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _root_factorials(k: int, m: int) -> np.ndarray:
     """sqrt(alpha!) = sqrt(prod_j alpha_j!) for every row alpha of
     multiset_table(k, m), the similarity of the monomial frame; cached
-    read-only. Each factorial is exact or correctly rounded."""
+    read-only. Each factorial is exact or correctly rounded; m! must be a
+    float, so m is at most 170, and a larger m is a ValidationError."""
+    if m > 170:
+        raise ValidationError(
+            f"n = {m}: the monomial frame takes sqrt(alpha!) from n! as a float, "
+            f"which overflows past n = 170"
+        )
     factorial = np.array([math.factorial(i) for i in range(m + 1)], dtype=float)
     root = np.sqrt(factorial[multiset_occupation(k, m)].prod(axis=1))
     root.setflags(write=False)
     return root
 
 
-# entries of one block of row gathers in _monomial_power: 256 KiB of
-# complex values stay in a core's L2 cache. On a 2-core Xeon VM with 4 MiB
-# of L2 per core, blocks of 128 KiB to 512 KiB measured alike, and
-# whole-matrix gathers took about 30 % longer at (2, 19) and (3, 5).
+# entries of one gather of a block of rows in _monomial_power: its two
+# gathers, 256 KiB of complex values each, stay in a core's L2 cache. On a
+# 2-core Xeon VM with 4 MiB of L2 per core, 8000 entries took 12-16 %
+# longer at (4, 15) and (9, 5).
 _GATHER_BLOCK = 16384
 
 
 def symmetric_power_memory_entries(k: int, n: int) -> int:
     """Complex entries live at the peak of the last step of the
-    monomial-frame power: the (k R_{n-1} + 1, R_n) step table, next to
-    either G_{n-1}, the column gather, the op columns and the two ufunc
-    buffers (numpy's default 8192 elements, or the whole table when it is
-    smaller) of the step's product, or G_n and one block of row gathers.
+    monomial-frame power: the column gather of G_{n-1}, with its zero row,
+    and the op columns, next to either G_{n-1} or G_n and one block (two
+    gathers of a block of rows and its slot indices, see _monomial_power).
     The final similarity of symmetric_power works in place."""
-    rank, prev = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1)
-    step = (k * prev + 1) * rank
-    product = prev * prev + prev * rank + k * rank + 2 * min(8192, step)
-    block = min(rank * rank, max(_GATHER_BLOCK, rank))
-    return step + max(product, rank * rank + block)
+    rank, prev, slots = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1), min(n, k)
+    rows = min(rank, max(1, _GATHER_BLOCK // (slots * rank)))
+    cols = (prev + 1 + k) * rank
+    return cols + max(prev * prev, rank * rank + rows * slots * (2 * rank + 1))
 
 
 def _monomial_power(op: np.ndarray, n: int) -> np.ndarray:
@@ -366,28 +373,27 @@ def _monomial_power(op: np.ndarray, n: int) -> np.ndarray:
     unchecked and uncapped (see symmetric_power).
 
     G_m[alpha, beta] = sum_j op[j, f] G_{m-1}[alpha - e_j, beta - e_f]:
-    per level one column gather and its product with the op columns form
-    the step table, and min(m, k) row gathers sum it, one per distinct
-    letter (see _power_step). No other multiply runs. Every gather after
-    the first is added in blocks of rows of at most _GATHER_BLOCK entries,
-    so that a block of G_m stays in cache over its adds.
+    per level one column gather of G_{m-1} over a zero row, and per block of
+    rows of G_m one gather of it and one of the op columns by the slots of
+    _power_step, their product, and one sum over the slots. A dead slot
+    reads the zero row. A gather holds at most _GATHER_BLOCK entries.
     """
     k = op.shape[0]
     gamma = np.array(op, dtype=np.result_type(op, float))
     for m in range(2, n + 1):
         prime, low, rows = _power_step(k, m)
-        step = np.empty((len(gamma) * k + 1, len(low)), dtype=gamma.dtype)
-        step[-1] = 0.0  # the sentinel row
-        table = step[:-1].reshape(len(gamma), k, len(low))
-        np.multiply(gamma[:, None, prime], op[:, low], out=table)
-        del gamma, table  # not alive next to the row gathers
-        gamma = step[rows[:, 0]]
-        size = max(1, _GATHER_BLOCK // len(low))
+        cols = np.zeros((len(gamma) + 1, len(low)), dtype=gamma.dtype)
+        # mode="clip" (prime is in range): a "raise" take into out= copies via a buffer
+        np.take(gamma, prime, axis=1, out=cols[:-1], mode="clip")
+        del gamma  # not alive next to G_m
+        ops, size = op.take(low, axis=1), max(1, _GATHER_BLOCK // (rows.shape[1] * len(low)))
+        gamma = np.empty((len(low), len(low)), dtype=cols.dtype)
         for a in range(0, len(low), size):
-            block = gamma[a : a + size]
-            for p in range(1, rows.shape[1]):
-                block += step[rows[a : a + size, p]]
-        del step, block  # neither alive next to the next level's step table
+            src, letter = np.divmod(rows[a : a + size], k)
+            terms = cols.take(src, axis=0)  # take: less call overhead than cols[src]
+            terms *= ops.take(letter, axis=0)
+            np.add.reduce(terms, axis=1, out=gamma[a : a + size])
+        del cols, terms  # neither alive next to the next level's column gather
     return gamma
 
 

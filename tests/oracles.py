@@ -280,6 +280,55 @@ def schur_exact(lam, p):
     return _schur_branch(lam.padded(len(p)), tuple(Fraction(x) for x in p))
 
 
+@lru_cache(maxsize=None)
+def skew_tableaux(outer, inner):
+    """f^{outer/inner}, the standard Young tableaux of the skew shape (both
+    shapes padded to one length; 0 unless inner lies inside outer): the sum
+    over the corners of outer whose removal keeps it around inner, with
+    f^{inner/inner} = 1."""
+    if any(i > o for i, o in zip(inner, outer)):
+        return 0
+    if outer == inner:
+        return 1
+    total = 0
+    for i, row in enumerate(outer):
+        if row > inner[i] and (i + 1 == len(outer) or outer[i + 1] < row):
+            total += skew_tableaux(outer[:i] + (row - 1,) + outer[i + 1 :], inner)
+    return total
+
+
+def werner_block_masses(a, b, d, n):
+    """p_{lambda mu} = Tr(rho^{tensor n} (P_lambda^A x P_mu^B)) of the Werner
+    state rho = a I + b F, F the swap of A and B, over the lambda and mu of
+    enumerate_partitions(n, d), exactly in Fractions (a and b taken
+    exactly); p_lambda is the diagonal.
+
+    rho^{tensor n} = sum_S a^{n-|S|} b^{|S|} F_S over the copy subsets S,
+    Tr[(X_A x Y_B) F_S] = Tr_S[Tr_{S^c} X Tr_{S^c} Y], and the branching
+    rule Tr_{n-s} P_lambda = sum_{nu |- s} c_lambda(nu) P_nu,
+    c_lambda(nu) = dim U_lambda f^{lambda/nu} / dim U_nu, give
+
+      p_{lambda mu} = sum_s C(n, s) a^{n-s} b^s
+                      sum_{nu |- s} c_lambda(nu) c_mu(nu) d_nu dim U_nu.
+    """
+    a, b = Fraction(a), Fraction(b)
+    lams = enumerate_partitions(n, d)
+    out = [[Fraction(0)] * len(lams) for _ in lams]
+    for s in range(n + 1):
+        weight = math.comb(n, s) * a ** (n - s) * b**s
+        for nu in enumerate_partitions(s, d):
+            dim_nu = weyl_dim(nu, d)
+            c = [
+                Fraction(weyl_dim(lam, d) * skew_tableaux(lam.padded(d), nu.padded(d)), dim_nu)
+                for lam in lams
+            ]
+            scale = weight * hook_dim(nu) * dim_nu
+            for i, ci in enumerate(c):
+                for j, cj in enumerate(c):
+                    out[i][j] += scale * ci * cj
+    return out
+
+
 @dataclass
 class BlockStructureReport:
     d: int

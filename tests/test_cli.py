@@ -243,6 +243,17 @@ def test_bounds_everything_region_lhs_one(tmp_path):
         assert float(r[3]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_test_past_the_factorial_range_exits_2_naming_n(capsys):
+    # 171! is past the largest float, which the monomial frame's sqrt(alpha!)
+    # is taken from; 170 copies still run
+    spec = '{"d": 1, "kind": "pure_schmidt", "schmidt": [1.0]}'
+    assert run(["test", "--d", "1", "--n", "170", "--state", spec]) == 0
+    capsys.readouterr()
+    assert run(["test", "--d", "1", "--n", "171", "--state", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n = 171:") and "Traceback" not in err
+
+
 def test_bounds_empty_region(tmp_path):
     out = tmp_path / "bounds.csv"
     rc = run(

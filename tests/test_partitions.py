@@ -564,6 +564,16 @@ def test_type_region_survives_d_lambda_past_the_float_range():
     assert abs(tc.lhs - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1074, 1075, 1100])
+def test_type_region_lhs_survives_schur_underflow(n):
+    # every s_lambda(1/2, 1/2) = (lambda_1 - lambda_2 + 1) 2^-n is below the
+    # smallest subnormal from n = 1075 on, while the lhs over every type is
+    # (p_1 + p_2)^n = 1; the memo runs on 2 p, a scale that changes no value
+    # above the underflow
+    tc = type_region_bound(lambda q: True, (0.5, 0.5), n, 2)
+    assert abs(tc.lhs - 1.0) <= 1e-12
+
+
 def test_type_region_lhs_is_the_per_lambda_schur_sum():
     # one branching memo shared by every lambda gives the same sum, bit for bit
     p = (0.5, 0.3, 0.2)

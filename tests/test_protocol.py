@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from locc_purity.protocol import (
 from locc_purity.states import StateSpec, analyze, build_state, tensor_power
 from locc_purity.tensorops import symmetrizer
 
-from oracles import ab_block_projector, build_projector_set
+from oracles import ab_block_projector, build_projector_set, werner_block_masses
 
 MAX_ENT_2 = StateSpec(d=2, kind="pure_schmidt", schmidt=(0.5, 0.5))
 MIXED_I4 = StateSpec(d=2, kind="density_matrix", matrix=np.eye(4) / 4)
@@ -347,6 +348,32 @@ def test_run_test_at_the_frontier():
     rep = run_test(build_state(StateSpec(d=2, kind="random_mixed", seed=7)), 2, 20)
     assert [b.partition for b in rep.blocks] == enumerate_partitions(20, 2)
     assert rep.p_opt > 0
+
+
+def werner_state(d, b):
+    """a I + b F, F the swap of A and B, with b and a = (1 - b d) / d^2
+    rounded to multiples of 2^-50, so that every entry, a + b too, is the
+    exact Fraction it stands for."""
+    a = Fraction(round(Fraction(1 - b * d, d * d) * 2**50), 2**50)
+    swap = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+    return a, b, float(a) * np.eye(d * d) + float(b) * swap
+
+
+@pytest.mark.parametrize(
+    "d,n,b", [(2, 4, Fraction(1, 8)), (3, 3, Fraction(1, 32)), (2, 20, Fraction(1, 8)),
+              (3, 6, Fraction(1, 32)), (3, 6, Fraction(-1, 16))]
+)
+def test_blocks_match_the_exact_werner_closed_form(d, n, b):
+    # the closed form is exact at any n, where the dense oracles stop near
+    # n = 6: it is the one exact check of the blocks at the frontier
+    a, b, rho = werner_state(d, b)
+    masses = werner_block_masses(a, b, d, n)
+    # matched and mismatched blocks together carry Tr rho^{tensor n}
+    assert sum(map(sum, masses)) == (a * d * d + b * d) ** n
+    spec = StateSpec(d=d, kind="density_matrix", matrix=rho)
+    got = [blk.p_lambda for blk in run_test(build_state(spec), d, n).blocks]
+    want = [float(row[i]) for i, row in enumerate(masses)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 # a cap between the d=2 pass estimates at n=3 and n=4 (asserted where used)

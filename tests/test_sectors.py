@@ -301,8 +301,8 @@ def test_a_trace_off_by_one_is_loud_at_every_admitted_size():
             sizes.append((d, n))
             n += 1
         d += 1
-    assert {(2, 30), (3, 7), (8, 3), (23, 2)} <= set(sizes)
-    assert (2, 31) not in sizes and (3, 8) not in sizes
+    assert {(2, 35), (3, 8), (4, 5), (8, 3), (23, 2)} <= set(sizes)
+    assert not {(2, 36), (3, 9), (4, 6), (24, 2)} & set(sizes)
     for d, n in sizes:
         lam = max(enumerate_partitions(n, d), key=lambda lam: weyl_dim(lam, d))
         expected = weyl_dim(lam, d) ** 2

@@ -200,9 +200,9 @@ def test_symmetric_power_is_symmetric_basis_sandwich(d, n):
 
 @pytest.mark.parametrize("k,n", [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)])
 def test_symmetric_power_past_k_copies_is_the_sandwich(k, n):
-    # with n > k every multiset repeats a letter, so its row leaves slots to
-    # the sentinel; a general complex op has no symmetry to hide a wrong
-    # similarity
+    # with n > k every multiset repeats a letter, so its row has dead slots,
+    # which read the zero row; a general complex op has no symmetry to hide
+    # a wrong similarity
     op = random_complex(k, np.random.default_rng(100 * k + n))
     v = symmetric_basis(k, n)
     want = v.T @ tensor_power(op, n) @ v
@@ -213,18 +213,18 @@ def test_symmetric_power_past_k_copies_is_the_sandwich(k, n):
 @pytest.mark.parametrize("k,m", [(1, 3), (2, 1), (2, 2), (2, 6), (3, 4), (4, 3), (4, 7), (9, 3)])
 def test_power_step_gathers_each_distinct_letter_once(k, m):
     # row alpha lists (alpha - e_j, j) once per distinct letter j of alpha,
-    # smallest first; its other slots hold the sentinel k R_{m-1}, the zero
-    # row appended to the step table; column beta drops its smallest letter.
+    # smallest first; its dead slots hold k R_{m-1}, which names the zero
+    # row below the column gather; column beta drops its smallest letter.
     # No table weighs a row or a column: sqrt(alpha!) carries the frame
     prime, low, rows = _power_step(k, m)
     prev, cur = multiset_table(k, m - 1), multiset_table(k, m)
-    sentinel = k * len(prev)
+    dead = k * len(prev)
     assert rows.shape == (len(cur), min(m, k))
     assert prime.shape == low.shape == (len(cur),)
     for alpha, row, beta_prime, f, root in zip(cur, rows, prime, low, _root_factorials(k, m)):
         letters = sorted(set(alpha.tolist()))
         live = row[: len(letters)]
-        assert (row[len(letters):] == sentinel).all()
+        assert (row[len(letters):] == dead).all()
         assert (live % k).tolist() == letters
         for r in live.tolist():
             dropped, j = prev[r // k].tolist(), r % k
@@ -232,8 +232,8 @@ def test_power_step_gathers_each_distinct_letter_once(k, m):
         assert f == alpha[0] and prev[beta_prime].tolist() == alpha[1:].tolist()
         factorials = math.prod(math.factorial(alpha.tolist().count(j)) for j in letters)
         assert root == math.sqrt(factorials)
-    # every row of the step table is gathered by exactly one multiset
-    assert np.array_equal(np.sort(rows[rows != sentinel]), np.arange(sentinel))
+    # every (alpha', j) is a slot of exactly one multiset
+    assert np.array_equal(np.sort(rows[rows != dead]), np.arange(dead))
 
 
 def monomial_sandwich(op, n):
@@ -297,7 +297,7 @@ def test_multiset_rank_finds_every_row(k, m):
 
 
 def test_power_step_grows_each_row_by_one_letter_past_int64_codes():
-    # the step rows (alpha', j) of level 33 on 4 modes land on the alpha
+    # the slots (alpha', j) of level 33 on 4 modes land on the alpha
     # whose occupation is alpha' + e_j
     k, m = 4, 33
     rows = _power_step(k, m)[-1]
