@@ -258,20 +258,31 @@ def complete_homogeneous(n: int, mu: Sequence[float]) -> float:
     return h[n]
 
 
-def _schur_branching(xs: tuple[float, ...]) -> Callable[[tuple[int, ...]], float]:
+def _schur_branching(xs: tuple[float, ...]) -> Callable[[tuple[int, ...]], tuple[float, int]]:
     """s_mu(x_1..x_k), k = len(mu), by the branching rule, memoized for the
-    life of the returned function, so every lambda of one p shares it."""
+    life of the returned function, so every lambda of one p shares it. Each
+    value and term is (m, e) = m 2^e, m from math.frexp: no term underflows
+    at any n, and the exact shifts leave a normal s_mu the plain float sum."""
 
     @lru_cache(maxsize=None)
-    def branch(parts: tuple[int, ...]) -> float:
+    def power(i: int, j: int) -> tuple[float, int]:
+        # x_i^j = m^j 2^{e j}, m in [1/2, 1): m^1000 is still a normal float
+        m, e = math.frexp(xs[i])
+        a, f = power(i, j - 1000) if j > 1000 else (1.0, 0)
+        a, g = math.frexp(a * m ** min(j, 1000))
+        return a, f + g + e * min(j, 1000)
+
+    @lru_cache(maxsize=None)
+    def branch(parts: tuple[int, ...]) -> tuple[float, int]:
         if not parts:
-            return 1.0
-        k = len(parts)
-        size = sum(parts)
+            return 0.5, 1
+        k, size = len(parts), sum(parts)
         inner = (range(parts[i + 1], parts[i] + 1) for i in range(k - 1))
-        return sum(
-            xs[k - 1] ** (size - sum(mu)) * branch(mu) for mu in itertools.product(*inner)
-        )
+        terms = [(power(k - 1, size - sum(mu)), branch(mu)) for mu in itertools.product(*inner)]
+        terms = [(a * b, e + f) for (a, e), (b, f) in terms]
+        top = max((e for m, e in terms if m), default=0)
+        m, e = math.frexp(sum(math.ldexp(m, e - top) for m, e in terms))
+        return m, e + top
 
     return branch
 
@@ -290,7 +301,7 @@ def schur_polynomial(lam: Partition, p: Sequence[float]) -> float:
     m = len(p)
     if lam.rows > m:
         raise ValidationError(f"partition {lam} has more rows than variables ({m})")
-    return _schur_branching(tuple(float(x) for x in p))(lam.padded(m))
+    return math.ldexp(*_schur_branching(tuple(float(x) for x in p))(lam.padded(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +377,15 @@ def type_region_bound(
     lambda/n satisfies the region predicate; rhs is
     (n+1)^(d(d+1)/2) * exp(-n * min D(q||p)) with the minimum taken over the
     region's normalized Young indices (the same finite grid as the lhs).
-    Every lambda takes s_lambda(p) from one branching memo. s_lambda is
-    homogeneous of degree n, so the memo runs on 2^t p, t making the largest
-    p_i at most 1 and above 1/2, and each term is d_lambda 2^{-tn} times
-    s_lambda(2^t p): the scale is exact, so nothing changes where s_lambda(p)
-    was a normal float, and at p = (1/2, 1/2) it no longer underflows from
-    n = 1075 on. A d_lambda too large for a float multiplies s_lambda as an
-    exact integer ratio, rounded once.
+    Every lambda takes s_lambda(p) from one branching memo, whose binary
+    exponent per term keeps the terms near the type of p at any n; d_lambda
+    enters as d_lambda / 2^b, b its bit length, 2^b joining that exponent,
+    so one past the float range needs no special case.
     """
     validate_probability_vector(p, "p")
     if len(p) != d:
         raise ValidationError(f"p must have length d={d}, got {len(p)}")
-    mantissa, exponent = math.frexp(max(float(x) for x in p))
-    t = (mantissa == 0.5) - exponent
-    schur = _schur_branching(tuple(math.ldexp(float(x), t) for x in p))
+    schur = _schur_branching(tuple(float(x) for x in p))
     lhs = 0.0
     d_min = math.inf
     members = 0
@@ -388,12 +394,8 @@ def type_region_bound(
         if not region(q):
             continue
         members += 1
-        d_lam, s_lam = hook_dim(lam), schur(lam.padded(d))
-        try:
-            lhs += math.ldexp(d_lam, -t * n) * s_lam
-        except OverflowError:  # d_lambda is past the float range, d_lambda s_lambda is not
-            num, den = s_lam.as_integer_ratio()
-            lhs += d_lam * num / (den << t * n)
+        (s_lam, e), d_lam = schur(lam.padded(d)), hook_dim(lam)
+        lhs += math.ldexp(d_lam / (1 << d_lam.bit_length()) * s_lam, e + d_lam.bit_length())
         d_min = min(d_min, kl_divergence(q, p))
     rhs = (n + 1) ** (d * (d + 1) / 2) * math.exp(-n * d_min)
     return TypeRegionCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs, d_min=d_min, n_members=members)

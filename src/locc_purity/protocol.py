@@ -24,19 +24,20 @@ rho^R[(a'a), (b'b)] = rho[ab, a'b'] (Chen-Wu) and phi = V^T vec(I).
 E_lambda is the lambda isotypic projector of the Cauchy-Howe decomposition
 Sym^n(A x B) = (+)_lambda S_lambda(A) x S_lambda(B): it keeps the multisets
 of A letters and of B letters, so it is block diagonal over small weight
-sectors, and the pass reads only the sector-diagonal entries of Gamma and
-v_lambda^T Gamma^R v_lambda. Both are one contraction of the last step of
-symmetric_power with G_{n-1}, Gamma_{n-1} in the monomial frame
-C Gamma_{n-1} C^{-1}, C = diag(1 / sqrt(alpha!)), so one pass per n
-(_n_copy_pass) forms G_{n-1} of rho and of rho^R and nothing of size d^n; its
-state-independent tables (_pass_tables) are built once per (d, n) on first
-use. run_test is the one entry into the pass, and each of its calls checks
+sectors, and the pass reads Gamma only on the same-sector pairs; phi, and
+so every v_lambda, lies on the B balanced rows, whose A and B letters are
+one multiset, so it reads Gamma^R only on their B x B block. Both come from
+the last level of symmetric_power on the monomial frame G_{n-1} =
+C Gamma_{n-1} C^{-1}, C = diag(1 / sqrt(alpha!)): one pass per n
+(_n_copy_pass) forms G_{n-1} of rho and of rho^R and nothing of size d^n,
+with state-independent tables (_pass_tables) built once per (d, n).
+run_test is the one entry into the pass, and each of its calls checks
 Gamma's trace against the complete homogeneous polynomial h_n of the
 spectrum, that the E_lambda resolve the identity by sum m_lambda = Tr Gamma
 (both sides read the same Gamma), Gamma^R by phi^T Gamma^R phi =
-(Tr rho)^n, and the sandwich inequality. The chain projectors P_lambda are test oracles
-only (tests/oracles.py), as are the dense operators left in tensorops and
-states.
+(Tr rho)^n, and the sandwich inequality. The chain projectors P_lambda are
+test oracles only (tests/oracles.py), as are the dense operators left in
+tensorops and states.
 """
 
 from __future__ import annotations
@@ -59,16 +60,18 @@ from .partitions import (
 from .states import StateSpec, analyze, build_state
 from .tensorops import (
     DEFAULT_MEMORY_CAP,
+    _column_gather,
     _monomial_power,
+    _power_level,
     _power_step,
     _root_factorials,
     check_memory_cap,
     cycle_moves_memory_entries,
+    level_memory_entries,
     multiset_cycle_moves,
     multiset_occupation,
     multiset_rank,
     multiset_table,
-    symmetric_power_memory_entries,
 )
 
 ORACLE_TOL = 1e-8
@@ -129,23 +132,28 @@ def _acceptance_exponent(p: float, n: int) -> float:
     return -math.log(p) / n
 
 
-def _sector_pair_bound(d: int, n: int) -> int:
-    """An upper bound on the same-sector pairs of Sym^n(C^d x C^d), from
-    the letter counts alone: the A weight mu holds T = prod_a f(mu_a) rows,
-    f(m) = C(m + d - 1, d - 1), and a sector of it at most T / max_a f(mu_a)
-    (the other rows of the d x d count table fix the last). Within 1.25x of
-    the count for d = 2 and 2.1x for d = 3 up to n = 7, but 10.7x at
-    (8, 3) (1964992 against 183744 pairs): the bound, not the count, decides
-    how early the memory cap refuses a large d."""
-    total = 0
+def _sector_bounds(d: int, n: int) -> tuple[int, int]:
+    """Upper bounds on the same-sector pairs and the balanced rows (A weight =
+    B weight) of Sym^n(C^d x C^d) from the letter counts: the A weight mu
+    holds T = prod_a f(mu_a) rows, f(m) = C(m + d - 1, d - 1), and a sector of
+    it at most T / max_a f(mu_a), as the other rows of the d x d count table
+    fix the last (1.25x the pairs for d = 2, 2.1x for d = 3 to n = 7, 10.7x at
+    (8, 3): the bound decides where the cap binds). A balanced sector's row a
+    has g(mu_a) <= f(mu_a) choices, the ways to spread mu_a letters under the
+    column sums mu: exact for d = 2 and n = 2, 1.3x at (3, 8), 1.4x at (8, 3)."""
+    pairs = balanced = 0
     for lam in enumerate_partitions(n, d):
-        parts = lam.parts + (0,) * (d - len(lam.parts))
+        parts = lam.padded(d)
         f = [math.comb(m + d - 1, d - 1) for m in parts]
-        arrangements = math.factorial(d)
-        for m in set(parts):
-            arrangements //= math.factorial(parts.count(m))
-        total += arrangements * math.prod(f) ** 2 // max(f)
-    return total
+        spread = [1]  # prod_b (1 + t + ... + t^{mu_b})
+        for m in parts:
+            spread = [sum(spread[max(0, i - m) : i + 1]) for i in range(len(spread) + m)]
+        g = [spread[m] for m in parts]
+        repeats = math.prod(math.factorial(parts.count(m)) for m in set(parts))
+        arrangements = math.factorial(d) // repeats
+        pairs += arrangements * math.prod(f) ** 2 // max(f)
+        balanced += arrangements * math.prod(g) // max(g)
+    return pairs, balanced
 
 
 # the report's Python objects and the small arrays of the pass, which
@@ -156,32 +164,29 @@ _REPORT_ENTRIES = 2048
 @lru_cache(maxsize=None)
 def pass_memory_entries(d: int, n: int) -> int:
     """Complex entries live at the peak of one n-copy pass, the figure the
-    memory cap is checked against: the cached tables (_pass_tables) plus
-    the largest of their build, G_{n-1}(rho^R) next to Gamma_n(rho) on the
-    pairs, the gather of those next to G_{n-1}(rho), and the p_lambda
-    product next to G_{n-1}(rho^R). G is the monomial frame of the power
-    (see _pass_tables), as large as Gamma; the similarity rides in the
-    tables, with one cached sqrt(alpha!) column. Real and int64 entries
-    count half; the same-sector pairs are bounded by _sector_pair_bound, and
-    the live (pair, slot) entries of the last step by min(n, d^2) per pair.
-    The cached tables are E_lambda and the three live-entry tables on the
-    pairs, the diagonal pairs, W and Z. The build holds the pairs next to
-    K t_2 + t_3 and the mode moves, the eigenvectors of one sector size, the
-    index tables of the last step, or every v_lambda and the gather into W."""
+    memory cap is checked against: the cached tables (_pass_tables) plus the
+    largest of their build, the gather of the pairs next to G_{n-1}(rho),
+    and the levels of rho^R (level_memory_entries: G_{n-1}, then G_n on the
+    balanced rows) next to Gamma_n(rho) on the pairs. Real and int64 entries
+    count half; _sector_bounds bounds the pairs and balanced rows, min(n, d^2)
+    per pair the live (pair, slot) entries. The tables: E_lambda, the three
+    live-entry tables, the diagonal pairs, sqrt(alpha!), and on the balanced
+    rows the last step's tables and both v. The build holds the pairs next to
+    K t_2 + t_3 and the mode moves, the eigenvectors of one sector size, or
+    the last step's index tables; finding the balanced rows takes less."""
     k, lams = d * d, len(enumerate_partitions(n, d))
     rank, prev = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1)
-    pairs, slots = _sector_pair_bound(d, n), min(n, k)
-    tables = pairs * (3 * slots + lams) + 2 * k * prev * (lams + 1) + rank
+    (pairs, balanced), slots = _sector_bounds(d, n), min(n, k)
+    tables = pairs * (3 * slots + lams) + 2 * rank + balanced * (2 + slots + 2 * (lams + 1))
     # multiset_table and _power_step (beta' and the row slots) at every level
     for m in range(1, n + 1):
         tables += math.comb(k + m - 1, m) * (m + min(m, k) + 1)
     moves = cycle_moves_memory_entries(d, n)
-    lift = rank * (lams + 1) // 2 + k * prev * (lams + 1)
-    build = pairs + max(2 * slots * pairs, moves, (lams + 2) * pairs // 2, lift)
-    power = symmetric_power_memory_entries(k, n - 1) + pairs // 2 if n > 1 else 0
+    build = pairs + max(2 * slots * pairs, moves, (lams + 2) * pairs // 2)
     gather = prev * prev + 2 * pairs * slots
-    product = prev * prev + 3 * k * prev * (lams + 1)
-    return -(-tables // 2) + max(build, power, gather, product) + _REPORT_ENTRIES
+    power = level_memory_entries(k, n - 1, prev) if n > 1 else 0
+    power = max(power, level_memory_entries(k, n, balanced)) + pairs // 2
+    return -(-tables // 2) + max(build, gather, power) + _REPORT_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -197,8 +202,11 @@ class _PassTables:
     pair_of: np.ndarray  # G_n[pair] sums, over the entries of the pair,
     gamma_at: np.ndarray  # G_{n-1}.flat[gamma_at]
     op_at: np.ndarray  # times op.flat[op_at]
-    lift_v: np.ndarray  # (R_{n-1}, L + 1, d^2): W
-    drop_v: np.ndarray  # (R_{n-1} (L + 1), d^2): Z
+    prime: np.ndarray  # on the B balanced rows, increasing: the last step's beta',
+    low: np.ndarray  # f
+    rows: np.ndarray  # and row slots (see _power_step)
+    v_left: np.ndarray  # (B, L + 1): sqrt(alpha!) v_lambda[alpha], then phi
+    v_right: np.ndarray  # (B, L + 1): v_lambda[beta] / sqrt(beta!), then phi
 
 
 def _weight_sectors(d: int, n: int) -> list[np.ndarray]:
@@ -306,40 +314,25 @@ def _pass_tables(d: int, n: int) -> _PassTables:
     diagonal modes (a, a), and the last step of the monomial-frame power
     (see _power_step) cut down to what the pass reads of Gamma_n. The pass
     holds G_{n-1} = C Gamma_{n-1} C^{-1}, C = diag(1 / sqrt(alpha!)) (see
-    symmetric_power); the similarity rides in these tables, which the pass
-    multiplies anyway:
-
-      G_n[alpha, beta] = sum G_{n-1}.flat[gamma_at] op.flat[op_at],
-
-    over the live slots (alpha - e_j, j) of each same-sector pair, j
-    running over the distinct letters of alpha, and
-    Gamma_n[alpha, beta] = G_n[alpha, beta] sqrt(alpha!) / sqrt(beta!), a
-    factor e takes on; and
-
-      v^T Gamma_n v = sum W o Re(G_{n-1} Y),  Y = Z op^T,
-      W[alpha', j] = sqrt(alpha!) v[alpha],  alpha = alpha' + e_j,
-      Z[beta', f] = v[beta] / sqrt(beta!),  beta = beta' + e_f, f its smallest mode:
-
-    letter last, so that Y and G_{n-1} Y, over every v and letter at once,
-    are two matrix products.
+    symmetric_power); Gamma_n = G_n sqrt(alpha!) / sqrt(beta!), a factor e
+    takes on, and on a same-sector pair G_n[alpha, beta] = sum
+    G_{n-1}.flat[gamma_at] op.flat[op_at] over the live slots (alpha - e_j,
+    j), j a distinct letter of alpha. phi lies on the balanced rows B, whose
+    A and B weights agree, and E_lambda keeps both weights, so
+    v^T Gamma_n v = sum v_left o (Re G_n[B, B] v_right), G_n[B, B] one
+    _power_level of G_{n-1} on B.
     """
     k = d * d
     fact, prev = _root_factorials(k, n), math.comb(k + n - 2, n - 1)
     partitions, pairs, e, diag = _isotypic_sectors(d, n)
     reps = multiset_table(k, n)
+    # the A letters a = m // d of the sorted modes m = a d + b come sorted
+    balanced = np.flatnonzero((reps // d == np.sort(reps % d)).all(axis=1))
     # a d + b = b - a mod d + 1: the diagonal modes are the multiples of d + 1
     phi = np.where((reps % (d + 1) == 0).all(axis=1), math.sqrt(math.factorial(n)) / fact, 0.0)
-    v = np.stack(
-        [np.bincount(pairs[0], row * phi[pairs[1]], len(phi)) for row in e] + [phi], axis=1
-    )
+    v = [np.bincount(pairs[0], row * phi[pairs[1]], len(phi))[balanced] for row in e]
+    v = np.stack(v + [phi[balanced]], axis=1)
     prime, low, rows = _power_step(k, n)
-    live = np.nonzero(rows < k * prev)
-    gathered = rows[live]  # every slot (alpha', j) once, from alpha = live[0]
-    lift_v = np.zeros((prev, v.shape[1], k))
-    lift_v[gathered // k, :, gathered % k] = fact[live[0], None] * v[live[0]]
-    drop_v = np.zeros_like(lift_v)
-    drop_v[prime, :, low] = v / fact[:, None]
-    del v, live, gathered  # not alive next to the live-slot tables
     alpha, beta = pairs
     e *= fact[alpha] / fact[beta]
     step = rows[alpha]
@@ -356,19 +349,16 @@ def _pass_tables(d: int, n: int) -> _PassTables:
         pair_of=pair_of,
         gamma_at=step // k * prev + prime[beta],
         op_at=step % k * k + low[beta],
-        lift_v=lift_v,
-        drop_v=drop_v.reshape(-1, k),
+        prime=prime[balanced],
+        low=low[balanced],
+        rows=rows[balanced],
+        v_left=fact[balanced, None] * v,
+        v_right=v / fact[balanced, None],
     )
     for value in vars(tables).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     return tables
-
-
-def _previous_level(op: np.ndarray, n: int) -> np.ndarray:
-    """G_{n-1}, Sym^{n-1}(op) in the monomial frame (see _pass_tables), with
-    G_0 = [[1]]; capped by the pass."""
-    return _monomial_power(op, n - 1) if n > 1 else np.ones((1, 1))
 
 
 def _n_copy_pass(
@@ -383,20 +373,22 @@ def _n_copy_pass(
     the tables of _pass_tables. vals holds Re G_n on the same-sector pairs,
     one sum over live slots each, so p_opt sums its diagonal pairs, where
     G and Gamma agree, and m_lambda = sum e_lambda vals (E_lambda is real
-    symmetric; e carries the similarity). The memory cap is checked once,
-    before any work, against pass_memory_entries.
+    symmetric; e carries the similarity). Every p_lambda, and phi^T Gamma^R
+    phi last, comes from one _power_level of rho^R on the balanced rows. The
+    memory cap is checked once, before any work, against pass_memory_entries.
     """
     check_memory_cap(pass_memory_entries(d, n), memory_cap, f"{n}-copy pass (d={d})")
     t = _pass_tables(d, n)
-    gamma = _previous_level(rho, n)
+    gamma = _monomial_power(rho, n - 1)
     terms = (gamma.ravel()[t.gamma_at] * rho.ravel()[t.op_at]).real
     vals = np.bincount(t.pair_of, terms, t.e.shape[1])
     del gamma, terms
     rho_r = rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-    gamma = _previous_level(rho_r, n)
-    y = (t.drop_v @ rho_r.T).reshape(len(gamma), -1)
-    mass = np.einsum("alj,alj->l", t.lift_v, (gamma @ y).real.reshape(t.lift_v.shape))
-    del gamma
+    gamma = _monomial_power(rho_r, n - 1)
+    cols = _column_gather(gamma, t.prime)
+    del gamma  # not alive next to G_n on the balanced rows
+    block = _power_level(cols, rho_r, t.low, t.rows).real
+    mass = (t.v_left * (block @ t.v_right)).sum(axis=0)
     m = t.e @ vals
     out = []
     for lam, d_lam, dim_u, p_lam, m_lam in zip(

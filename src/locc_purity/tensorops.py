@@ -317,8 +317,7 @@ def _power_step(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     alpha, ranked from the occupation alpha' + e_j, at the slot that counts
     the distinct letters of alpha' below j. A multiset has at most min(m, k)
     distinct letters; a dead slot left over holds k R_{m-1}, which names
-    alpha' = R_{m-1}: the zero row below the column gather of
-    _monomial_power. Returns beta' and f of every column, and the
+    alpha' = R_{m-1}: the zero row of _column_gather. Returns beta' and f of every column, and the
     (R_m, min(m, k)) row slots.
     """
     prev, cur = multiset_occupation(k, m - 1), multiset_table(k, m)
@@ -349,51 +348,58 @@ def _root_factorials(k: int, m: int) -> np.ndarray:
     return root
 
 
-# entries of one gather of a block of rows in _monomial_power: its two
+# entries of one gather of a block of rows in _power_level: its two
 # gathers, 256 KiB of complex values each, stay in a core's L2 cache. On a
 # 2-core Xeon VM with 4 MiB of L2 per core, 8000 entries took 12-16 %
 # longer at (4, 15) and (9, 5).
 _GATHER_BLOCK = 16384
 
 
-def symmetric_power_memory_entries(k: int, n: int) -> int:
-    """Complex entries live at the peak of the last step of the
-    monomial-frame power: the column gather of G_{n-1}, with its zero row,
-    and the op columns, next to either G_{n-1} or G_n and one block (two
-    gathers of a block of rows and its slot indices, see _monomial_power).
-    The final similarity of symmetric_power works in place."""
-    rank, prev, slots = math.comb(k + n - 1, n), math.comb(k + n - 2, n - 1), min(n, k)
+def level_memory_entries(k: int, m: int, rank: int) -> int:
+    """Complex entries live at the peak of a _power_level of rank rows and
+    columns at level m: the column gather and the op columns, next to either
+    G_{m-1} or the output and one block (two gathers and their indices)."""
+    prev, slots = math.comb(k + m - 2, m - 1), min(m, k)
     rows = min(rank, max(1, _GATHER_BLOCK // (slots * rank)))
-    cols = (prev + 1 + k) * rank
-    return cols + max(prev * prev, rank * rank + rows * slots * (2 * rank + 1))
+    return (prev + 1 + k) * rank + max(prev * prev, rank * rank + rows * slots * (2 * rank + 1))
+
+
+def _column_gather(gamma: np.ndarray, prime: np.ndarray) -> np.ndarray:
+    """The columns prime of G_{m-1} over one zero row, for _power_level."""
+    cols = np.zeros((len(gamma) + 1, len(prime)), dtype=gamma.dtype)
+    # mode="clip" (prime is in range): a "raise" take into out= copies via a buffer
+    np.take(gamma, prime, axis=1, out=cols[:-1], mode="clip")
+    return cols
+
+
+def _power_level(cols: np.ndarray, op: np.ndarray, low: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """G_m on the rows of the slots rows and the columns of the modes low
+    (see _power_step), from the _column_gather of G_{m-1} there: per block
+    of rows one gather of it and one of the op columns by the slots, their
+    product, and one sum over the slots; a dead slot reads the zero row."""
+    k = op.shape[0]
+    ops, size = op.take(low, axis=1), max(1, _GATHER_BLOCK // (rows.shape[1] * len(low)))
+    out = np.empty((len(rows), len(low)), dtype=cols.dtype)
+    for a in range(0, len(rows), size):
+        src, letter = np.divmod(rows[a : a + size], k)
+        terms = cols.take(src, axis=0)  # take: less call overhead than cols[src]
+        terms *= ops.take(letter, axis=0)
+        np.add.reduce(terms, axis=1, out=out[a : a + size])
+    return out
 
 
 def _monomial_power(op: np.ndarray, n: int) -> np.ndarray:
-    """G_n = C Sym^n(op) C^{-1}, C = diag(1 / sqrt(alpha!)), for n >= 1;
-    unchecked and uncapped (see symmetric_power).
-
-    G_m[alpha, beta] = sum_j op[j, f] G_{m-1}[alpha - e_j, beta - e_f]:
-    per level one column gather of G_{m-1} over a zero row, and per block of
-    rows of G_m one gather of it and one of the op columns by the slots of
-    _power_step, their product, and one sum over the slots. A dead slot
-    reads the zero row. A gather holds at most _GATHER_BLOCK entries.
-    """
-    k = op.shape[0]
-    gamma = np.array(op, dtype=np.result_type(op, float))
+    """G_n = C Sym^n(op) C^{-1}, C = diag(1 / sqrt(alpha!)), in op's dtype
+    (G_0 = [[1]]); unchecked and uncapped (see symmetric_power). One
+    _power_level per level, on every row and column."""
+    k, dtype = op.shape[0], np.result_type(op, float)
+    gamma = np.array(op, dtype=dtype) if n else np.ones((1, 1), dtype)
     for m in range(2, n + 1):
         prime, low, rows = _power_step(k, m)
-        cols = np.zeros((len(gamma) + 1, len(low)), dtype=gamma.dtype)
-        # mode="clip" (prime is in range): a "raise" take into out= copies via a buffer
-        np.take(gamma, prime, axis=1, out=cols[:-1], mode="clip")
+        cols = _column_gather(gamma, prime)
         del gamma  # not alive next to G_m
-        ops, size = op.take(low, axis=1), max(1, _GATHER_BLOCK // (rows.shape[1] * len(low)))
-        gamma = np.empty((len(low), len(low)), dtype=cols.dtype)
-        for a in range(0, len(low), size):
-            src, letter = np.divmod(rows[a : a + size], k)
-            terms = cols.take(src, axis=0)  # take: less call overhead than cols[src]
-            terms *= ops.take(letter, axis=0)
-            np.add.reduce(terms, axis=1, out=gamma[a : a + size])
-        del cols, terms  # neither alive next to the next level's column gather
+        gamma = _power_level(cols, op, low, rows)
+        del cols  # not alive next to the next level's column gather
     return gamma
 
 
@@ -419,9 +425,8 @@ def symmetric_power(
     if op.ndim != 2 or op.shape[0] != op.shape[1] or n < 1:
         raise ValidationError(f"need a square matrix and n >= 1, got {op.shape}, {n}")
     k = op.shape[0]
-    if memory_cap is not None:
-        what = f"symmetric power (k={k}, n={n})"
-        check_memory_cap(symmetric_power_memory_entries(k, n), memory_cap, what)
+    entries = level_memory_entries(k, n, math.comb(k + n - 1, n))
+    check_memory_cap(entries, memory_cap, f"symmetric power (k={k}, n={n})")
     gamma = _monomial_power(op, n)
     root = _root_factorials(k, n)
     gamma *= root[:, None]

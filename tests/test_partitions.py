@@ -564,14 +564,19 @@ def test_type_region_survives_d_lambda_past_the_float_range():
     assert abs(tc.lhs - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1074, 1075, 1100])
-def test_type_region_lhs_survives_schur_underflow(n):
+@pytest.mark.parametrize(
+    "p,n,tol",
+    [pytest.param((0.5, 0.5), n, 1e-12, id=str(n)) for n in (1074, 1075, 1100)]
+    + [pytest.param((0.6, 0.4), n, 1e-9, id=f"0.6-{n}") for n in (1100, 1500)],
+)
+def test_type_region_lhs_survives_schur_underflow(p, n, tol):
     # every s_lambda(1/2, 1/2) = (lambda_1 - lambda_2 + 1) 2^-n is below the
-    # smallest subnormal from n = 1075 on, while the lhs over every type is
-    # (p_1 + p_2)^n = 1; the memo runs on 2 p, a scale that changes no value
-    # above the underflow
-    tc = type_region_bound(lambda q: True, (0.5, 0.5), n, 2)
-    assert abs(tc.lhs - 1.0) <= 1e-12
+    # smallest subnormal from n = 1075 on, and at (0.6, 0.4) the terms near
+    # the type, about 2^{-n H(p)}, are from n = 1100 on, while the lhs over
+    # every type is (p_1 + p_2)^n = 1; the memo carries a binary exponent
+    # per term, whose shifts change no value above the underflow
+    tc = type_region_bound(lambda q: True, p, n, 2)
+    assert abs(tc.lhs - 1.0) <= tol
 
 
 def test_type_region_lhs_is_the_per_lambda_schur_sum():

@@ -421,7 +421,7 @@ def test_pass_memory_estimate_bounds_traced_peak(d, n):
     assert peak <= estimate <= 2 * peak
 
 
-@pytest.mark.parametrize("d,n", [(2, 6), (2, 8), (3, 4), (3, 5), (6, 3), (7, 2)])
+@pytest.mark.parametrize("d,n", [(2, 6), (2, 8), (3, 4), (3, 5), (4, 4), (6, 3), (7, 2)])
 def test_pass_memory_estimate_covers_the_table_build(d, n):
     # the first call of a process also builds the cached tables; its peak,
     # tables included, must stay under the estimate
@@ -478,13 +478,13 @@ def test_oracle_is_a_plain_float():
 def skew_realigned_power(monkeypatch):
     """Scale G_{n-1} of every non-Hermitian operand of the pass by 1.001:
     rho^R of a mixed state is not Hermitian, rho is."""
-    original = protocol._previous_level
+    original = protocol._monomial_power
 
     def skewed(op, n):
         gamma = original(op, n)
         return gamma if np.allclose(op, op.conj().T) else 1.001 * gamma
 
-    monkeypatch.setattr(protocol, "_previous_level", skewed)
+    monkeypatch.setattr(protocol, "_monomial_power", skewed)
 
 
 def test_realigned_mass_disagreement_is_loud(monkeypatch):

@@ -73,13 +73,25 @@ def dense(pairs, values):
     return out
 
 
+def balanced_rows(d, n):
+    """The rows of multiset_table(d^2, n) whose A letters and B letters are
+    one multiset, in increasing order."""
+    reps = multiset_table(d * d, n)
+    return np.flatnonzero([sorted(r // d) == sorted(r % d) for r in reps])
+
+
 def pass_v(d, n):
-    """Every v_lambda, then phi, as the pass holds them: column beta of
-    Z = drop_v is v[beta] / sqrt(beta!) at (beta', f) (see _pass_tables)."""
+    """Every v_lambda, then phi, as the pass holds them on the balanced rows
+    (v_left and v_right, see _pass_tables), scattered into R rows that are
+    zero elsewhere; the last step's tables on those rows are _power_step's."""
     t = _pass_tables(d, n)
-    prime, low, _ = _power_step(d * d, n)
-    z = t.drop_v.reshape(-1, len(t.partitions) + 1, d * d)
-    return z[prime, :, low] * _root_factorials(d * d, n)[:, None]
+    rows, fact = balanced_rows(d, n), _root_factorials(d * d, n)
+    for got, want in zip((t.prime, t.low, t.rows), _power_step(d * d, n)):
+        np.testing.assert_array_equal(got, want[rows])
+    np.testing.assert_allclose(t.v_left, t.v_right * fact[rows, None] ** 2, rtol=1e-15, atol=0)
+    v = np.zeros((len(fact), len(t.partitions) + 1))
+    v[rows] = t.v_right * fact[rows, None]
+    return v
 
 
 def swap_letters(d, n):
@@ -93,7 +105,7 @@ def swap_letters(d, n):
 @pytest.mark.parametrize("d,n", CHAIN_CASES)
 def test_isotypic_sector_projectors_match_chain_route(d, n):
     partitions, pairs, e, _ = _isotypic_sectors(d, n)
-    v = pass_v(d, n)
+    v, rows = pass_v(d, n), balanced_rows(d, n)
     v_chain = chain_basis(d, n)
     projectors = build_projector_set(d, n)
     assert list(partitions) == list(projectors)
@@ -101,6 +113,8 @@ def test_isotypic_sector_projectors_match_chain_route(d, n):
         np.testing.assert_allclose(dense(pairs, e[i]), sandwich(v_chain, p), rtol=0, atol=1e-12)
         want_v = p.ravel() @ v_chain.reshape(p.size, -1)
         np.testing.assert_allclose(v[:, i], want_v, rtol=0, atol=1e-12)
+        # vec(P_lambda) lies on the balanced rows alone, all the pass reads
+        np.testing.assert_allclose(np.delete(want_v, rows), 0, rtol=0, atol=1e-12)
 
 
 def on_multisets(fact, alpha, beta, weight):
@@ -196,7 +210,10 @@ def test_weight_sectors_are_the_letter_multisets():
                 assert len({letters[a] for a in sector}) == 1
         assert sum(g.size for g in groups) == len(reps)
         assert sum(len(g) for g in groups) == len(set(letters))
-        assert protocol._sector_pair_bound(d, n) >= sum(g.size * g.shape[1] for g in groups)
+        pairs, balanced = protocol._sector_bounds(d, n)
+        assert pairs >= sum(g.size * g.shape[1] for g in groups)
+        assert balanced >= sum(a == b for a, b in letters) == len(balanced_rows(d, n))
+        assert d > 2 or balanced == (n + 2) ** 2 // 4  # exact for d = 2
 
 
 def random_density(dim, rng):
