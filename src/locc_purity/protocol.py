@@ -4,7 +4,7 @@ The globally optimal one-sided test accepts with probability
 Tr(rho^{tensor n} Pi_n), Pi_n the symmetric-subspace projector on the doubled
 chain. The LOCC protocol measures the Young index on each chain, rejects on
 mismatch, and runs the maximally-entangled-state test on the matched block;
-its acceptance is a Tsuda-weighted sum over blocks. Per-block quantities:
+its acceptance p_star is linear in the block masses. Per-block quantities:
 
   p_lambda = Tr(rho^{tensor n} Q_lambda),   Q_lambda = P_lambda^A x P_lambda^B
   m_lambda = Tr(rho^{tensor n} Q_lambda Pi_n Q_lambda)
@@ -31,13 +31,13 @@ the last level of symmetric_power on the monomial frame G_{n-1} =
 C Gamma_{n-1} C^{-1}, C = diag(1 / sqrt(alpha!)): one pass per n
 (_n_copy_pass) forms G_{n-1} of rho and of rho^R and nothing of size d^n,
 with state-independent tables (_pass_tables) built once per (d, n).
-run_test is the one entry into the pass, and each of its calls checks
-Gamma's trace against the complete homogeneous polynomial h_n of the
-spectrum, that the E_lambda resolve the identity by sum m_lambda = Tr Gamma
-(both sides read the same Gamma), Gamma^R by phi^T Gamma^R phi =
-(Tr rho)^n, and the sandwich inequality. The chain projectors P_lambda are
-test oracles only (tests/oracles.py), as are the dense operators left in
-tensorops and states.
+run_test is the one entry into the pass, and each of its calls checks,
+relative to its size, Gamma's trace against the complete homogeneous
+polynomial h_n of the spectrum, that the E_lambda resolve the identity by
+sum m_lambda = Tr Gamma (both sides read the same Gamma), Gamma^R by
+phi^T Gamma^R phi = (Tr rho)^n, and the sandwich inequality. The chain
+projectors P_lambda are test oracles only (tests/oracles.py), as are the
+dense operators left in tensorops and states.
 """
 
 from __future__ import annotations
@@ -74,11 +74,11 @@ from .tensorops import (
     multiset_table,
 )
 
-ORACLE_TOL = 1e-8
-SANDWICH_TOL = 1e-9
+ORACLE_TOL = 1e-8  # relative to h_n, p_opt and (Tr rho)^n (see run_test)
+SANDWICH_TOL = 1e-9  # relative to p_opt
 TRACE_TOL = 1e-8  # relative, on tr E_lambda (see _check_projector_trace)
-# Below this mass a block is treated as unpopulated: its fidelity is
-# undefined (None) and it contributes nothing to the LOCC acceptance.
+# Below this mass a block's fidelity is None: m_lambda / p_lambda is float
+# noise there (p = 1.2e-18, m = 1.0e-17 reads F = 8.3). p_star counts it.
 ZERO_BLOCK_TOL = 1e-14
 
 
@@ -400,19 +400,10 @@ def _n_copy_pass(
 
 
 def p_star(blocks: list[BlockStats]) -> float:
-    """LOCC protocol acceptance: Tsuda-weighted sum over populated blocks.
-
-    Mismatched Young-index outcomes reject, so only matched-block mass enters.
-    """
-    total = 0.0
-    for b in blocks:
-        if b.fidelity is None:
-            continue
-        # fidelity is clamped to [0, 1]: float noise on a barely-populated
-        # block must not trip the Tsuda domain check
-        fid = min(max(b.fidelity, 0.0), 1.0)
-        total += b.p_lambda * tsuda_acceptance(fid, b.d_lambda)
-    return total
+    """LOCC protocol acceptance: mismatched Young indices reject, and block
+    lambda accepts p_lambda tsuda_acceptance(m_lambda / p_lambda), linear in
+    the masses: sum (p_lambda + d_lambda^2 m_lambda) / (1 + d_lambda^2)."""
+    return sum((b.p_lambda + b.d_lambda**2 * b.m_lambda) / (1 + b.d_lambda**2) for b in blocks)
 
 
 def slack_bound(blocks: list[BlockStats]) -> float:
@@ -428,26 +419,27 @@ def run_test(
     analysis = analyze(rho, d)
     blocks, opt, phi_mass = _n_copy_pass(rho, d, n, memory_cap)
     oracle = float(complete_homogeneous(n, analysis.spectrum))
-    if abs(opt - oracle) > ORACLE_TOL:
+    if abs(opt - oracle) > ORACLE_TOL * oracle:
         raise InvariantError(
             f"optimal acceptance disagrees with its polynomial oracle: "
             f"trace {opt!r} vs h_n {oracle!r} (n={n}, d={d})"
         )
     sum_m = sum(b.m_lambda for b in blocks)
-    if abs(opt - sum_m) > ORACLE_TOL:
+    if abs(opt - sum_m) > ORACLE_TOL * opt:
         raise InvariantError(
             f"sum of block overlaps {sum_m!r} disagrees with the optimal "
             f"acceptance {opt!r} (n={n}, d={d})"
         )
     trace_n = float(np.trace(rho).real) ** n
-    if abs(phi_mass - trace_n) > ORACLE_TOL:
+    if abs(phi_mass - trace_n) > ORACLE_TOL * trace_n:
         raise InvariantError(
             f"realigned mass phi^T Gamma^R phi = {phi_mass!r} disagrees with "
             f"(Tr rho)^n = {trace_n!r} (n={n}, d={d})"
         )
     star = p_star(blocks)
     slack = slack_bound(blocks)
-    if not (opt - SANDWICH_TOL <= star <= opt + slack + SANDWICH_TOL):
+    tol = SANDWICH_TOL * opt
+    if not (opt - tol <= star <= opt + slack + tol):
         raise InvariantError(
             f"sandwich violated: p_opt={opt!r}, p_star={star!r}, slack={slack!r}"
         )

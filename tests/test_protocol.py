@@ -17,9 +17,13 @@ from locc_purity.partitions import (
     Partition,
     complete_homogeneous,
     enumerate_partitions,
+    hook_dim,
     schur_polynomial,
+    weyl_dim,
 )
 from locc_purity.protocol import (
+    ZERO_BLOCK_TOL,
+    BlockStats,
     block_statistics,
     exponent_series,
     p_opt,
@@ -206,6 +210,14 @@ def test_p_star_maximally_mixed_n2():
     assert slack_bound(blocks) == pytest.approx(5 / 8, abs=1e-12)
 
 
+def test_p_star_counts_a_block_below_the_zero_block_threshold():
+    # a null fidelity is a display rule: the block's mass still accepts,
+    # (p + d_lambda^2 m) / (1 + d_lambda^2) = 5e-15 here
+    assert 5e-15 < ZERO_BLOCK_TOL
+    tiny = BlockStats(Partition((2,)), 5e-15, 5e-15, 1, 3, None)
+    assert p_star([tiny]) == pytest.approx(5e-15, rel=1e-15, abs=0)
+
+
 def test_sandwich_inequality():
     specs = [
         MAX_ENT_2,
@@ -222,6 +234,10 @@ def test_sandwich_inequality():
             star = p_star(blocks)
             slack = slack_bound(blocks)
             assert opt - 1e-9 <= star <= opt + slack + 1e-9
+            # the linear sum is the Tsuda-weighted sum over populated blocks
+            populated = [b for b in blocks if b.fidelity is not None]
+            tsuda = sum(b.p_lambda * tsuda_acceptance(b.fidelity, b.d_lambda) for b in populated)
+            assert star == pytest.approx(tsuda, abs=1e-15)
 
 
 def test_run_test_reports_consistent_fields():
@@ -374,6 +390,21 @@ def test_blocks_match_the_exact_werner_closed_form(d, n, b):
     got = [blk.p_lambda for blk in run_test(build_state(spec), d, n).blocks]
     want = [float(row[i]) for i, row in enumerate(masses)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_maximally_mixed_blocks_match_the_closed_form_past_the_zero_block_threshold():
+    # rho = I/4: p_lambda = (d_lambda dim U_lambda)^2 / 4^n and m_lambda =
+    # dim U_lambda^2 / 4^n exactly. At n = 29 block (29) has p_lambda below
+    # ZERO_BLOCK_TOL and carries a tenth of p_star
+    n = 29
+    rep = run_test(build_state(MIXED_I4), 2, n)
+    dims = [(hook_dim(lam), weyl_dim(lam, 2)) for lam in enumerate_partitions(n, 2)]
+    assert min(b.p_lambda for b in rep.blocks) < ZERO_BLOCK_TOL
+    want = [(Fraction((h * w) ** 2, 4**n), Fraction(w**2, 4**n)) for h, w in dims]
+    got = [(b.p_lambda, b.m_lambda) for b in rep.blocks]
+    np.testing.assert_allclose(got, np.array(want, dtype=float), rtol=1e-12, atol=0)
+    star = sum(Fraction(2 * h**2 * w**2, (1 + h**2) * 4**n) for h, w in dims)
+    assert rep.p_star == pytest.approx(float(star), rel=1e-12, abs=0)
 
 
 # a cap between the d=2 pass estimates at n=3 and n=4 (asserted where used)
@@ -533,3 +564,19 @@ def test_oracle_disagreement_is_loud():
     # Hermitian-solver oracle; that must raise, never return silently
     with pytest.raises(InvariantError, match="oracle"):
         p_opt(non_hermitian_state(), 2, 2)
+
+
+def test_a_relative_error_in_an_exponentially_small_p_opt_is_loud(monkeypatch):
+    # at (2, 16) p_opt of I/4 is 2.3e-7: an absolute ORACLE_TOL would let
+    # the 2.3e-10 error of a G_{n-1}(rho) off by 0.1 % through
+    original = protocol._monomial_power
+    calls = []
+
+    def skewed(op, n):
+        calls.append(op)
+        gamma = original(op, n)
+        return 1.001 * gamma if len(calls) == 1 else gamma
+
+    monkeypatch.setattr(protocol, "_monomial_power", skewed)
+    with pytest.raises(InvariantError, match="oracle"):
+        run_test(build_state(MIXED_I4), 2, 16)
